@@ -12,7 +12,10 @@ magnitude in [0, pi].  Signed/axis information is only available from
 the matrix route.
 
 All angle functions accept scalars or numpy arrays (broadcast like
-ufuncs) and are pure, so they are safe to call concurrently.
+ufuncs) and are pure, so they are safe to call concurrently.  The matrix
+route works on stacks too: velocities are (..., 3) arrays, matrices
+(..., 4, 4), and a scalar input is the stack with an empty leading shape.
+NaN and infinite inputs are rejected with ValueError.
 """
 
 from __future__ import annotations
@@ -48,29 +51,30 @@ MINKOWSKI_METRIC.flags.writeable = False
 
 def _check_speed(u, name: str = "speed") -> None:
     u = np.asarray(u)
-    if np.any(u < 0.0) or np.any(u >= 1.0):
+    if not np.all((u >= 0.0) & (u < 1.0)):  # NaN fails both comparisons
         raise ValueError(f"{name} must satisfy 0 <= {name} < 1 (units of c), got {u}")
 
 
 def _check_phi(phi) -> None:
     phi = np.asarray(phi)
-    if np.any(phi < 0.0) or np.any(phi > np.pi):
+    if not np.all((phi >= 0.0) & (phi <= np.pi)):
         raise ValueError(f"boosting angle must lie in [0, pi], got {phi}")
+
+
+def _scalar_or_array(x):
+    """Python float for a 0-d result, the array itself otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _gamma(u):
+    """Unchecked Lorentz factor; callers validate ``u`` first."""
+    return 1.0 / np.sqrt(1.0 - np.square(u))
 
 
 def lorentz_gamma(u):
     """Lorentz factor gamma = 1/sqrt(1 - u^2) for a speed u in units of c."""
     _check_speed(u)
-    g = 1.0 / np.sqrt(1.0 - np.square(u))
-    if np.ndim(g) == 0:
-        return float(g)
-    return g
-
-
-def _gamma_minus_one(u):
-    """gamma - 1 evaluated without cancellation for small speeds."""
-    g = lorentz_gamma(u)
-    return np.square(u) * g * g / (g + 1.0)
+    return _scalar_or_array(_gamma(u))
 
 
 def speed_factor_d(u, v):
@@ -79,18 +83,17 @@ def speed_factor_d(u, v):
     D >= 1 captures the entire speed dependence of the rotation angle,
     with D -> 1 only in the light-speed limit.  Degenerate speeds
     (u = 0 or v = 0) make the rotation vanish identically; that limit is
-    reported as +inf rather than an error.
+    reported as +inf rather than an error.  gamma - 1 is taken as
+    u^2 gamma^2/(gamma + 1), which does not cancel at small speeds.
     """
     _check_speed(u, "u")
     _check_speed(v, "v")
-    gu, gv = lorentz_gamma(u), lorentz_gamma(v)
+    gu, gv = _gamma(u), _gamma(v)
     num = (gu + 1.0) * (gv + 1.0)
-    den = _gamma_minus_one(u) * _gamma_minus_one(v)
+    den = (np.square(u) * gu * gu / (gu + 1.0)) * (np.square(v) * gv * gv / (gv + 1.0))
     with np.errstate(divide="ignore"):
         d = np.sqrt(num / den)
-    if np.ndim(d) == 0:
-        return float(d)
-    return d
+    return _scalar_or_array(d)
 
 
 def wigner_angle_cos_form(u, v, phi):
@@ -112,15 +115,13 @@ def wigner_angle_cos_form(u, v, phi):
     _check_speed(u, "u")
     _check_speed(v, "v")
     _check_phi(phi)
-    gu, gv = lorentz_gamma(u), lorentz_gamma(v)
+    gu, gv = _gamma(u), _gamma(v)
     w = gu * gv * (1.0 + u * np.asarray(v) * np.cos(phi))
     den = (gu + 1.0) * (gv + 1.0) * (w + 1.0)
     sin_half = gu * gv * u * np.asarray(v) * np.sin(phi) / np.sqrt(2.0 * den)
     delta = 2.0 * np.arcsin(np.clip(sin_half, 0.0, 1.0))
     delta = np.where((np.asarray(phi) == 0.0) | (np.asarray(phi) == np.pi), 0.0, delta)
-    if np.ndim(delta) == 0:
-        return float(delta)
-    return delta
+    return _scalar_or_array(delta)
 
 
 def wigner_angle_tan_form(u, v, phi):
@@ -137,10 +138,7 @@ def wigner_angle_tan_form(u, v, phi):
     d = speed_factor_d(u, v)
     delta = 2.0 * np.arctan2(np.sin(phi), np.cos(phi) + d)
     delta = np.where((np.asarray(phi) == 0.0) | (np.asarray(phi) == np.pi), 0.0, delta)
-    delta = np.clip(delta, 0.0, np.pi)
-    if np.ndim(delta) == 0:
-        return float(delta)
-    return delta
+    return _scalar_or_array(np.clip(delta, 0.0, np.pi))
 
 
 def argmax_boost_angle(u, v):
@@ -155,10 +153,7 @@ def argmax_boost_angle(u, v):
     _check_speed(v, "v")
     if np.any(np.asarray(u) == 0.0) or np.any(np.asarray(v) == 0.0):
         raise ValueError("no rotation: delta vanishes identically when u = 0 or v = 0")
-    phi_star = np.arccos(-1.0 / speed_factor_d(u, v))
-    if np.ndim(phi_star) == 0:
-        return float(phi_star)
-    return phi_star
+    return _scalar_or_array(np.arccos(-1.0 / speed_factor_d(u, v)))
 
 
 def ultra_relativistic_condition(u, v, phi):
@@ -211,27 +206,50 @@ def ultra_phi_interval(u: float, v: float) -> tuple[float, float] | None:
 
 
 def boost_matrix(velocity) -> np.ndarray:
-    """Pure Lorentz boost (4x4, symmetric) for a 3-velocity in units of c."""
-    beta = np.asarray(velocity, dtype=float).reshape(3)
-    b2 = float(beta @ beta)
-    if b2 >= 1.0:
-        raise ValueError(f"velocity must be sub-luminal, got |v| = {math.sqrt(b2)}")
-    if b2 == 0.0:
-        return np.eye(4)
-    g = 1.0 / math.sqrt(1.0 - b2)
-    mat = np.eye(4)
-    mat[0, 0] = g
-    mat[0, 1:] = mat[1:, 0] = -g * beta
-    mat[1:, 1:] += (g - 1.0) / b2 * np.outer(beta, beta)
+    """Pure Lorentz boosts (..., 4, 4), symmetric, for (..., 3) velocities in units of c.
+
+    The spatial block is I + gamma^2/(gamma + 1) beta beta^T, which
+    equals the textbook (gamma - 1)/beta^2 form without its cancellation
+    at small speeds, and gives the identity exactly at zero velocity.
+    """
+    beta = np.asarray(velocity, dtype=float)
+    if beta.shape[-1:] != (3,):
+        raise ValueError(f"velocity must have 3 components, got shape {beta.shape}")
+    b2 = np.einsum("...i,...i->...", beta, beta)
+    if not np.all(b2 < 1.0):  # also catches NaN and inf components
+        if not np.all(np.isfinite(beta)):
+            raise ValueError(f"velocity must be finite, got {beta}")
+        raise ValueError(f"velocity must be sub-luminal, got |v| = {math.sqrt(b2.max())}")
+    g = 1.0 / np.sqrt(1.0 - b2)
+    mat = np.empty(beta.shape[:-1] + (4, 4))
+    mat[..., 0, 0] = g
+    mat[..., 0, 1:] = mat[..., 1:, 0] = -g[..., None] * beta
+    mat[..., 1:, 1:] = (g * g / (g + 1.0))[..., None, None] * (
+        beta[..., :, None] * beta[..., None, :]
+    ) + np.eye(3)
     return mat
 
 
 class BoostComposition(NamedTuple):
-    """Factorization of a composed boost: product = boost @ rotation."""
+    """Factorization of a composed boost: product = boost @ rotation.
 
-    boost: np.ndarray      # pure boost, 4x4 symmetric
-    rotation: np.ndarray   # 1 (+) 3x3 spatial rotation, 4x4
-    angle: float           # rotation angle in [0, pi]
+    For scalar inputs the matrices are 4x4 and the angle a float; for
+    stacked inputs every field carries the same leading shape.
+    """
+
+    boost: np.ndarray      # pure boost, (..., 4, 4) symmetric
+    rotation: np.ndarray   # 1 (+) 3x3 spatial rotation, (..., 4, 4)
+    angle: float           # rotation angle in [0, pi], float or (...) array
+
+
+def _axial_vector(r3: np.ndarray) -> np.ndarray:
+    """(r32 - r23, r13 - r31, r21 - r12) of (..., 3, 3) matrices, shape (..., 3)."""
+    return (r3 - np.swapaxes(r3, -1, -2))[..., (2, 0, 1), (1, 2, 0)]
+
+
+def _norm(vec: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis."""
+    return np.sqrt(np.einsum("...i,...i->...", vec, vec))
 
 
 def compose_boosts(first, second) -> BoostComposition:
@@ -242,82 +260,94 @@ def compose_boosts(first, second) -> BoostComposition:
     rotation fixing the time axis: the pure-boost factor shares the
     product's first column (R e0 = e0 implies B e0 = L e0), so its
     velocity is read off as w = -L[1:, 0] / L[0, 0] and the rotation is
-    R = B(w)^-1 L, polished to the nearest exact orthogonal matrix (the
-    raw solve carries the product's gamma^2-amplified rounding, which
-    would otherwise break the metric invariant at high speeds).  The
-    angle comes from atan2 of the antisymmetric part against the trace;
-    the trace alone loses half the significant digits near the identity.
+    R = B(w)^-1 L.  The inverse is B(-w), formed exactly by negating the
+    time-space entries of B(w), so no linear solve can fail on the
+    gamma^2-conditioned boost at extreme speeds.  R is polished to the
+    nearest exact orthogonal matrix (the raw product carries the
+    gamma^2-amplified rounding, which would otherwise break the metric
+    invariant at high speeds).  The angle comes from atan2 of the
+    antisymmetric part against the trace; the trace alone loses half the
+    significant digits near the identity.
 
-    Collinear inputs give the identity rotation and angle 0.  Exchanging
-    the arguments keeps the angle and reverses the rotation axis.
+    Velocities may be (..., 3) stacks that broadcast against each other;
+    every composition in the stack is factored in one pass.  Collinear
+    inputs give the identity rotation and angle 0.  Exchanging the
+    arguments keeps the angle and reverses the rotation axis.
     """
     lam = boost_matrix(second) @ boost_matrix(first)
-    w = -lam[1:, 0] / lam[0, 0]
+    w = -lam[..., 1:, 0] / lam[..., :1, 0]
     boost = boost_matrix(w)
-    raw = np.linalg.solve(boost, lam)
-    u_svd, _, vt_svd = np.linalg.svd(raw[1:, 1:])
+    inverse = boost.copy()
+    inverse[..., 0, 1:] *= -1.0
+    inverse[..., 1:, 0] *= -1.0
+    raw = inverse @ lam
+    u_svd, _, vt_svd = np.linalg.svd(raw[..., 1:, 1:])
+    # Flip the last singular vector wherever the polished factor would be
+    # a reflection (never the case for proper compositions).
+    u_svd[..., :, 2] *= np.copysign(1.0, np.linalg.det(u_svd @ vt_svd))[..., None]
     spatial = u_svd @ vt_svd
-    if np.linalg.det(spatial) < 0.0:  # never hit for proper compositions
-        spatial = u_svd @ np.diag([1.0, 1.0, -1.0]) @ vt_svd
-    rotation = np.eye(4)
-    rotation[1:, 1:] = spatial
-    antisym = np.array(
-        [
-            spatial[2, 1] - spatial[1, 2],
-            spatial[0, 2] - spatial[2, 0],
-            spatial[1, 0] - spatial[0, 1],
-        ]
-    )
-    sin_angle = float(np.linalg.norm(antisym)) / 2.0
-    cos_angle = (float(np.trace(spatial)) - 1.0) / 2.0
-    angle = math.atan2(sin_angle, cos_angle)
+    rotation = np.zeros(spatial.shape[:-2] + (4, 4))
+    rotation[..., 0, 0] = 1.0
+    rotation[..., 1:, 1:] = spatial
+    sin_angle = _norm(_axial_vector(spatial)) / 2.0
+    cos_angle = (np.trace(spatial, axis1=-2, axis2=-1) - 1.0) / 2.0
+    angle = _scalar_or_array(np.arctan2(sin_angle, cos_angle))
     return BoostComposition(boost, rotation, angle)
 
 
 def rotation_axis(rotation: np.ndarray) -> np.ndarray:
-    """Unit rotation axis of a 4x4 (or 3x3) rotation matrix.
+    """Unit rotation axes (..., 3) of (..., 4, 4) or (..., 3, 3) rotation matrices.
 
-    Extracted from the antisymmetric part; returns the zero vector when
+    Extracted from the antisymmetric part; gives the zero vector where
     the rotation is too close to the identity for the axis to be defined
     (angle below ~1e-12).
     """
-    r3 = rotation[1:, 1:] if rotation.shape == (4, 4) else rotation
-    vec = np.array(
-        [r3[2, 1] - r3[1, 2], r3[0, 2] - r3[2, 0], r3[1, 0] - r3[0, 1]]
-    )
-    norm = float(np.linalg.norm(vec))
-    if norm < 1e-12:
-        return np.zeros(3)
-    return vec / norm
+    rotation = np.asarray(rotation, dtype=float)
+    r3 = rotation[..., 1:, 1:] if rotation.shape[-2:] == (4, 4) else rotation
+    vec = _axial_vector(r3)
+    norm = _norm(vec)[..., None]
+    defined = norm >= 1e-12
+    return np.where(defined, vec / np.where(defined, norm, 1.0), 0.0)
 
 
-def standard_boost_vectors(u: float, v: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Velocity vectors realizing the standard geometry.
+def standard_boost_vectors(u, v, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Velocity vectors (..., 3) realizing the standard geometry.
 
     The particle boost u points along +z and the observer boost v lies
     in the x-z plane at angle phi from the z axis, so the induced
-    rotation is about the y axis.
+    rotation is about the y axis.  u, v and phi broadcast together; both
+    vector stacks carry their common shape.
     """
     _check_speed(u, "u")
     _check_speed(v, "v")
     _check_phi(phi)
-    return (
-        np.array([0.0, 0.0, float(u)]),
-        float(v) * np.array([math.sin(phi), 0.0, math.cos(phi)]),
+    u, v, phi = np.broadcast_arrays(
+        np.asarray(u, dtype=float), np.asarray(v, dtype=float), np.asarray(phi, dtype=float)
     )
+    u_vec = np.zeros(u.shape + (3,))
+    u_vec[..., 2] = u
+    v_vec = np.zeros(u.shape + (3,))
+    v_vec[..., 0] = v * np.sin(phi)
+    v_vec[..., 2] = v * np.cos(phi)
+    return u_vec, v_vec
 
 
-def wigner_angle_matrix_form(u: float, v: float, phi: float) -> float:
+def wigner_angle_matrix_form(u, v, phi):
     """Rotation angle via explicit 4x4 composition in the standard geometry.
 
     Independent of both closed forms: builds the two boost matrices,
     multiplies them and extracts the rotation angle of the product's
-    rotation factor.
+    rotation factor.  Broadcasts over u, v and phi like the closed forms.
     """
-    u_vec, v_vec = standard_boost_vectors(u, v, phi)
-    return compose_boosts(u_vec, v_vec).angle
+    return compose_boosts(*standard_boost_vectors(u, v, phi)).angle
 
 
-def lorentz_defect(mat: np.ndarray) -> float:
-    """Max-abs deviation of L^T eta L from eta (0 for an exact Lorentz matrix)."""
-    return float(np.abs(mat.T @ MINKOWSKI_METRIC @ mat - MINKOWSKI_METRIC).max())
+def lorentz_defect(mat: np.ndarray):
+    """Max-abs deviation of L^T eta L from eta over the last two axes.
+
+    0 for an exact Lorentz matrix; a float for one 4x4 matrix, an array
+    over the leading axes of a stack.
+    """
+    mat = np.asarray(mat, dtype=float)
+    residual = np.swapaxes(mat, -1, -2) @ MINKOWSKI_METRIC @ mat - MINKOWSKI_METRIC
+    return _scalar_or_array(np.abs(residual).max(axis=(-2, -1)))

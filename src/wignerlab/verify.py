@@ -145,28 +145,22 @@ def _check_matrix_oracle(n: int, tols: dict) -> list[CheckResult]:
     m = min(n, 20)
     speeds = np.linspace(0.01, 0.99, m)
     phis = np.linspace(0.0, math.pi, m)
-    y_hat = np.array([0.0, 1.0, 0.0])
-    worst_angle = worst_axis = worst_abs = worst_scaled = 0.0
-    for u in speeds:
-        for v in speeds:
-            for phi in phis:
-                u_vec, v_vec = kin.standard_boost_vectors(u, v, phi)
-                boost, rotation, angle = kin.compose_boosts(u_vec, v_vec)
-                closed = kin.wigner_angle_tan_form(u, v, phi)
-                worst_angle = max(worst_angle, abs(angle - closed))
-                for mat in (boost, rotation):
-                    defect = kin.lorentz_defect(mat)
-                    # The absolute residual floor is ~gamma^2 * eps from
-                    # entry rounding alone, so the 1e-12 form is only
-                    # meaningful at moderate composed gammas; the scaled
-                    # residual covers the rest of the grid.
-                    if u <= 0.95 and v <= 0.95:
-                        worst_abs = max(worst_abs, defect)
-                    scale = max(1.0, float(np.sum(mat * mat)))
-                    worst_scaled = max(worst_scaled, defect / scale)
-                if angle > 1e-6:  # axis undefined at the identity
-                    axis = kin.rotation_axis(rotation)
-                    worst_axis = max(worst_axis, float(np.abs(axis - y_hat).max()))
+    u, v, phi = np.meshgrid(speeds, speeds, phis, indexing="ij")
+    boost, rotation, angle = kin.compose_boosts(*kin.standard_boost_vectors(u, v, phi))
+    worst_angle = np.abs(angle - kin.wigner_angle_tan_form(u, v, phi)).max()
+    # The absolute residual floor is ~gamma^2 * eps from entry rounding
+    # alone, so the 1e-12 form is only meaningful at moderate composed
+    # gammas; the scaled residual covers the rest of the grid.
+    moderate = (u <= 0.95) & (v <= 0.95)
+    worst_abs = worst_scaled = 0.0
+    for mat in (boost, rotation):
+        defect = kin.lorentz_defect(mat)
+        worst_abs = max(worst_abs, defect[moderate].max(initial=0.0))
+        scale = np.maximum(1.0, np.sum(mat * mat, axis=(-2, -1)))
+        worst_scaled = max(worst_scaled, (defect / scale).max())
+    # The axis is undefined at the identity.
+    axis_error = np.abs(kin.rotation_axis(rotation) - [0.0, 1.0, 0.0]).max(axis=-1)
+    worst_axis = axis_error[angle > 1e-6].max(initial=0.0)
     grid = f"{m}x{m}x{m}"
     return [
         _result("matrix_oracle_agrees", grid, worst_angle, tols["matrix_oracle_agrees"]),

@@ -51,6 +51,20 @@ class TestAngle:
         code, _, err = _run(capsys, "angle", "--u", "0.5", "--v", "0.5", "--phi", "4.0")
         assert code == EXIT_USAGE and "boosting angle" in err
 
+    @pytest.mark.parametrize("method", ["all", "cos", "tan", "matrix"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_speed_is_usage_error(self, capsys, method, bad):
+        code, out, err = _run(
+            capsys, "angle", "--u", bad, "--v", "0.5", "--phi", "1", "--method", method
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "u must satisfy 0 <= u < 1" in err
+
+    def test_non_finite_phi_is_usage_error(self, capsys):
+        code, _, err = _run(capsys, "angle", "--u", "0.5", "--v", "0.5", "--phi", "nan")
+        assert code == EXIT_USAGE and "boosting angle" in err
+
 
 class TestBoost:
     def test_equal_helicity_disentangles(self, capsys):

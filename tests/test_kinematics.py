@@ -307,3 +307,127 @@ class TestComposeBoosts:
 
     def test_rotation_axis_of_identity_is_zero(self):
         assert np.array_equal(kin.rotation_axis(np.eye(4)), np.zeros(3))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_speed_rejected_by_every_route(self, bad):
+        for call in (
+            lambda: kin.lorentz_gamma(bad),
+            lambda: kin.speed_factor_d(bad, 0.5),
+            lambda: kin.speed_factor_d(0.5, bad),
+            lambda: kin.wigner_angle_cos_form(bad, 0.5, 1.0),
+            lambda: kin.wigner_angle_tan_form(bad, 0.5, 1.0),
+            lambda: kin.wigner_angle_matrix_form(0.5, bad, 1.0),
+            lambda: kin.argmax_boost_angle(bad, 0.5),
+            lambda: kin.ultra_relativistic_condition(bad, 0.5, 2.0),
+            lambda: kin.standard_boost_vectors(bad, 0.5, 1.0),
+        ):
+            with pytest.raises(ValueError, match="must satisfy 0 <="):
+                call()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_phi_rejected(self, bad):
+        for form in (
+            kin.wigner_angle_cos_form,
+            kin.wigner_angle_tan_form,
+            kin.wigner_angle_matrix_form,
+            kin.ultra_relativistic_condition,
+        ):
+            with pytest.raises(ValueError, match="boosting angle"):
+                form(0.5, 0.5, bad)
+
+    def test_nan_inside_an_array_rejected(self):
+        with pytest.raises(ValueError):
+            kin.wigner_angle_tan_form(np.array([0.5, math.nan]), 0.5, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_boost_matrix_rejects_non_finite_velocity(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            kin.boost_matrix([bad, 0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            kin.compose_boosts([0.0, 0.0, 0.5], [0.1, bad, 0.0])
+
+
+class TestMatrixRouteRange:
+    def test_low_speed_matches_tan_form(self):
+        # gamma - 1 from g^2/(g + 1): no cancellation as u -> 0
+        for u in np.geomspace(1e-8, 1e-2, 25):
+            for phi in (0.3, 1.0, 2.0, 3.0):
+                closed = kin.wigner_angle_tan_form(u, u, phi)
+                assert kin.wigner_angle_matrix_form(u, u, phi) == pytest.approx(
+                    closed, rel=1e-12, abs=0.0
+                )
+
+    def test_beyond_float_range_raises_sub_luminal(self):
+        # At u = v = 1 - 1e-8 the composed speed rounds to 1 for some phi;
+        # that is reported as the velocity error, never a linear-algebra one.
+        u = 1.0 - 1e-8
+        raised = 0
+        for phi in np.linspace(0.05, math.pi - 0.05, 60):
+            try:
+                angle = kin.wigner_angle_matrix_form(u, u, phi)
+            except np.linalg.LinAlgError:
+                pytest.fail(f"LinAlgError at phi = {phi}")
+            except ValueError as exc:
+                assert "sub-luminal" in str(exc)
+                raised += 1
+            else:
+                assert 0.0 <= angle <= math.pi
+        assert raised > 0
+
+
+class TestStacks:
+    SHAPE = (5, 4)
+
+    def _stack(self):
+        rng = np.random.default_rng(17)
+        u, v = rng.uniform(0.01, 0.99, (2,) + self.SHAPE)
+        phi = rng.uniform(0.0, math.pi, self.SHAPE)
+        return u, v, phi
+
+    def test_compose_matches_scalar_calls(self):
+        u, v, phi = self._stack()
+        first, second = kin.standard_boost_vectors(u, v, phi)
+        assert first.shape == second.shape == self.SHAPE + (3,)
+        boost, rotation, angle = kin.compose_boosts(first, second)
+        assert boost.shape == rotation.shape == self.SHAPE + (4, 4)
+        assert angle.shape == self.SHAPE
+        defects = kin.lorentz_defect(rotation)
+        axes = kin.rotation_axis(rotation)
+        assert defects.shape == self.SHAPE and axes.shape == self.SHAPE + (3,)
+        for idx in np.ndindex(*self.SHAPE):
+            b1, r1, a1 = kin.compose_boosts(*kin.standard_boost_vectors(u[idx], v[idx], phi[idx]))
+            assert np.abs(boost[idx] - b1).max() < 1e-14 * np.abs(b1).max()
+            assert np.abs(rotation[idx] - r1).max() < 1e-14
+            assert abs(angle[idx] - a1) < 1e-14
+            assert abs(defects[idx] - kin.lorentz_defect(r1)) < 1e-14
+            assert abs(kin.lorentz_defect(boost[idx]) - kin.lorentz_defect(b1)) < 1e-14
+            assert np.abs(axes[idx] - kin.rotation_axis(r1)).max() < 1e-14
+
+    def test_matrix_form_broadcasts(self):
+        u, v, phi = self._stack()
+        stacked = kin.wigner_angle_matrix_form(u, v[:, :1], phi)
+        assert stacked.shape == self.SHAPE
+        for idx in np.ndindex(*self.SHAPE):
+            scalar = kin.wigner_angle_matrix_form(u[idx], v[idx[0], 0], phi[idx])
+            assert abs(stacked[idx] - scalar) < 1e-14
+
+    def test_scalar_contract(self):
+        boost, rotation, angle = kin.compose_boosts([0, 0, 0.5], [0.5, 0, 0])
+        assert boost.shape == rotation.shape == (4, 4)
+        assert type(angle) is float
+        assert type(kin.wigner_angle_matrix_form(0.5, 0.5, 1.0)) is float
+        assert type(kin.lorentz_defect(boost)) is float
+        assert kin.rotation_axis(rotation).shape == (3,)
+        assert kin.boost_matrix([0.1, 0.2, 0.3]).shape == (4, 4)
+
+    def test_boost_matrix_stack_and_identity(self):
+        betas = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [0.0, 0.9, 0.0]])
+        mats = kin.boost_matrix(betas)
+        assert mats.shape == (3, 4, 4)
+        assert np.array_equal(mats[0], np.eye(4))
+        for beta, mat in zip(betas, mats):
+            assert np.array_equal(mat, kin.boost_matrix(beta))
+        with pytest.raises(ValueError, match="sub-luminal"):
+            kin.boost_matrix(np.vstack([betas, [[0.8, 0.8, 0.0]]]))
