@@ -39,6 +39,11 @@ _TRACE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-9
 
 
+def _check_finite(name: str, x) -> None:
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite, got {x}")
+
+
 def reduced_density_matrix(state: SpinMomentumState, keep: str = "spin") -> np.ndarray:
     """Partial trace of a pure 4-amplitude state onto one qubit.
 
@@ -107,7 +112,9 @@ def rest_frame_entropy(eta, helicity_class: HelicityClass):
     Equal-helicity families: h(cos^2 eta), i.e. 1 bit at the Bell points
     eta = odd multiples of pi/4 and 0 at multiples of pi/2.  The
     unequal-helicity family is a product state, entropy 0 for every eta.
+    Non-finite ``eta`` raises ValueError.
     """
+    _check_finite("eta", eta)
     if helicity_class is HelicityClass.UNEQUAL:
         out = np.zeros_like(np.asarray(eta, dtype=float))
         return float(out) if np.ndim(out) == 0 else out
@@ -130,8 +137,11 @@ def boosted_entropy_closed_form(eta, delta, helicity_class: HelicityClass):
 
     Binary entropy of p = (1 + gap)/2 with the class-dependent gap of
     :func:`_xi_factor`.  Continuously recovers the rest-frame entropy as
-    delta -> 0.  Accepts scalars or broadcastable arrays.
+    delta -> 0.  Accepts scalars or broadcastable arrays; non-finite
+    ``eta`` or ``delta`` raises ValueError.
     """
+    _check_finite("eta", eta)
+    _check_finite("delta", delta)
     gap = _xi_factor(eta, delta, helicity_class)
     p = 0.5 * (1.0 + gap)
     q = 0.5 * (1.0 - gap)
@@ -158,8 +168,11 @@ def boosted_entropy_derivative(eta, delta):
     non-positive on (0, pi/2) and non-negative on (pi/2, pi).  The
     expression is 0/0 at gap = 0 (Bell-point eta with delta a multiple
     of pi) and formally 0 * inf at gap = 1 (delta = pi/2, or degenerate
-    eta); both limits equal 0 and are returned as such.
+    eta); both limits equal 0 and are returned as such.  Non-finite
+    ``eta`` or ``delta`` raises ValueError.
     """
+    _check_finite("eta", eta)
+    _check_finite("delta", delta)
     eta = np.asarray(eta, dtype=float)
     delta = np.asarray(delta, dtype=float)
     s2 = np.square(np.sin(2.0 * eta))
@@ -188,6 +201,9 @@ def entanglement_difference_bound(eta, delta, helicity_class: HelicityClass):
     Both satisfy
 
         difference >= bound = sin^2(2 eta) sin^2(delta) / (2 ln 2) >= 0.
+
+    Non-finite ``eta`` or ``delta`` raises ValueError (checked by the two
+    entropies it is built from).
     """
     rest = rest_frame_entropy(eta, helicity_class)
     boosted = boosted_entropy_closed_form(eta, delta, helicity_class)

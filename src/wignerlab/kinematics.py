@@ -51,13 +51,13 @@ MINKOWSKI_METRIC.flags.writeable = False
 
 def _check_speed(u, name: str = "speed") -> None:
     u = np.asarray(u)
-    if not np.all((u >= 0.0) & (u < 1.0)):  # NaN fails both comparisons
+    if not ((u >= 0.0) & (u < 1.0)).all():  # NaN fails both comparisons
         raise ValueError(f"{name} must satisfy 0 <= {name} < 1 (units of c), got {u}")
 
 
 def _check_phi(phi) -> None:
     phi = np.asarray(phi)
-    if not np.all((phi >= 0.0) & (phi <= np.pi)):
+    if not ((phi >= 0.0) & (phi <= np.pi)).all():
         raise ValueError(f"boosting angle must lie in [0, pi], got {phi}")
 
 
@@ -149,11 +149,10 @@ def argmax_boost_angle(u, v):
     D -> inf).  For u = 0 or v = 0 the rotation vanishes for every phi,
     so no maximum exists; that degenerate case raises ValueError.
     """
-    _check_speed(u, "u")
-    _check_speed(v, "v")
-    if np.any(np.asarray(u) == 0.0) or np.any(np.asarray(v) == 0.0):
+    d = speed_factor_d(u, v)  # validates u and v
+    if (np.asarray(u) == 0.0).any() or (np.asarray(v) == 0.0).any():
         raise ValueError("no rotation: delta vanishes identically when u = 0 or v = 0")
-    return _scalar_or_array(np.arccos(-1.0 / speed_factor_d(u, v)))
+    return _scalar_or_array(np.arccos(-1.0 / d))
 
 
 def ultra_relativistic_condition(u, v, phi):

@@ -52,10 +52,23 @@ __all__ = [
 
 _PLATEAU_TOL = 1e-14
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CSV_CHUNK_ROWS = 65_536
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _csv_text(header: tuple, rows: np.ndarray) -> str:
+    """CSV text: the header line, then one ``%.17g`` field per value, LF-terminated.
+
+    Rows are formatted a chunk at a time with a single ``%`` operation,
+    which converts each float exactly as ``format(x, ".17g")`` does;
+    the chunking only bounds the size of the intermediate tuple.
+    """
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    rows = np.asarray(rows, dtype=float)
+    parts = [",".join(header) + "\n"]
+    for start in range(0, rows.shape[0], _CSV_CHUNK_ROWS):
+        block = rows[start : start + _CSV_CHUNK_ROWS]
+        parts.append((line * block.shape[0]) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def _resolve_threads(threads: int) -> int:
@@ -137,10 +150,10 @@ class SweepSeries:
         return meta
 
     def to_csv_text(self) -> str:
-        lines = ["phi,delta,entropy_bits"]
-        for p, d, e in zip(self.phi, self.delta, self.entropy):
-            lines.append(f"{_fmt(p)},{_fmt(d)},{_fmt(e)}")
-        return "\n".join(lines) + "\n"
+        return _csv_text(
+            ("phi", "delta", "entropy_bits"),
+            np.column_stack([self.phi, self.delta, self.entropy]),
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -161,10 +174,7 @@ class Dataset:
     metadata: dict
 
     def to_csv_text(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_fmt(x) for x in row))
-        return "\n".join(lines) + "\n"
+        return _csv_text(self.columns, self.rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -234,6 +244,35 @@ class Extremum:
     plateau: bool = False
 
 
+def _interior_extremum_runs(entropy: np.ndarray) -> list[tuple]:
+    """``(lo, hi, kind)`` for each run of plateau-equal samples that is a local extremum.
+
+    A run is a maximal index range ``lo..hi`` (inclusive) whose
+    consecutive samples differ by at most 1e-14.  It is an extremum when
+    its first value lies strictly above or below both the last value of
+    the run before and the first value of the run after.  Runs touching
+    an endpoint sample are never extrema.
+    """
+    n = entropy.size
+    starts = np.concatenate(
+        ([0], np.flatnonzero(np.abs(np.diff(entropy)) > _PLATEAU_TOL) + 1)
+    )
+    ends = np.append(starts[1:] - 1, n - 1)
+    value = entropy[starts[1:-1]]
+    prev_value = entropy[ends[:-2]]
+    next_value = entropy[starts[2:]]
+    is_max = (value > prev_value) & (value > next_value)
+    is_min = (value < prev_value) & (value < next_value)
+    return [
+        (
+            int(starts[k + 1]),
+            int(ends[k + 1]),
+            ExtremumKind.MAXIMUM if is_max[k] else ExtremumKind.MINIMUM,
+        )
+        for k in np.flatnonzero(is_max | is_min)
+    ]
+
+
 def find_local_extrema(series: SweepSeries, tol: float = 1e-8) -> list[Extremum]:
     """Locate interior local extrema of Etilde(phi) in a sweep.
 
@@ -256,28 +295,8 @@ def find_local_extrema(series: SweepSeries, tol: float = 1e-8) -> list[Extremum]
             req.eta, wigner_angle_tan_form(req.u, req.v, p), req.helicity_class
         )
 
-    # runs of plateau-equal entropies: list of (start, end) inclusive
-    runs = []
-    start = 0
-    for i in range(1, n):
-        if abs(series.entropy[i] - series.entropy[i - 1]) > _PLATEAU_TOL:
-            runs.append((start, i - 1))
-            start = i
-    runs.append((start, n - 1))
-
     found = []
-    for k, (lo, hi) in enumerate(runs):
-        if k == 0 or k == len(runs) - 1:
-            continue  # touches an endpoint sample
-        value = series.entropy[lo]
-        prev_value = series.entropy[runs[k - 1][1]]
-        next_value = series.entropy[runs[k + 1][0]]
-        if value > prev_value and value > next_value:
-            kind = ExtremumKind.MAXIMUM
-        elif value < prev_value and value < next_value:
-            kind = ExtremumKind.MINIMUM
-        else:
-            continue
+    for lo, hi, kind in _interior_extremum_runs(series.entropy):
         if hi > lo:  # plateau run
             phi_hat = 0.5 * (series.phi[lo] + series.phi[hi])
             plateau = True

@@ -290,3 +290,32 @@ class TestDifferenceBound:
             eta, delta, HelicityClass.EQUAL_PLUS
         )
         assert float(diff.min()) >= -1e-12
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls", list(HelicityClass))
+    def test_closed_forms_reject(self, bad, cls):
+        for call, name in (
+            (lambda: ent.boosted_entropy_closed_form(0.6, bad, cls), "delta"),
+            (lambda: ent.boosted_entropy_closed_form(bad, 1.0, cls), "eta"),
+            (lambda: ent.rest_frame_entropy(bad, cls), "eta"),
+            (lambda: ent.entanglement_difference_bound(0.6, bad, cls), "delta"),
+            (lambda: ent.entanglement_difference_bound(bad, 1.0, cls), "eta"),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                call()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_derivative_rejects(self, bad):
+        with pytest.raises(ValueError, match="^delta must be finite"):
+            ent.boosted_entropy_derivative(0.6, bad)
+        with pytest.raises(ValueError, match="^eta must be finite"):
+            ent.boosted_entropy_derivative(bad, 1.0)
+
+    def test_nan_inside_an_array_rejected(self):
+        delta = np.array([0.5, 1.0, math.nan])
+        with pytest.raises(ValueError, match="delta must be finite"):
+            ent.boosted_entropy_closed_form(0.6, delta, HelicityClass.EQUAL_PLUS)
+        with pytest.raises(ValueError, match="eta must be finite"):
+            ent.rest_frame_entropy(delta, HelicityClass.EQUAL_MINUS)

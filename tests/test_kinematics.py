@@ -7,6 +7,7 @@ angle against the 4x4 matrix composition.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,28 @@ class TestArgmax:
     def test_degenerate_raises(self):
         with pytest.raises(ValueError, match="no rotation"):
             kin.argmax_boost_angle(0.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "u,v,message",
+        [
+            (1.0, 0.5, "u must satisfy 0 <= u < 1 (units of c), got 1.0"),
+            (0.5, -0.1, "v must satisfy 0 <= v < 1 (units of c), got -0.1"),
+            (math.nan, 0.5, "u must satisfy 0 <= u < 1 (units of c), got nan"),
+            (0.5, math.nan, "v must satisfy 0 <= v < 1 (units of c), got nan"),
+            (0.0, math.nan, "v must satisfy 0 <= v < 1 (units of c), got nan"),
+            (0.0, 0.5, "no rotation: delta vanishes identically when u = 0 or v = 0"),
+            (0.5, 0.0, "no rotation: delta vanishes identically when u = 0 or v = 0"),
+            (
+                np.array([0.5, 0.0]),
+                0.5,
+                "no rotation: delta vanishes identically when u = 0 or v = 0",
+            ),
+        ],
+    )
+    def test_error_messages(self, u, v, message):
+        """Range errors name the speed and come before the zero-speed error."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            kin.argmax_boost_angle(u, v)
 
 
 class TestConcavity:

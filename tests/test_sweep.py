@@ -10,6 +10,9 @@ import wignerlab.kinematics as kin
 from wignerlab.entanglement import boosted_entropy_closed_form, rest_frame_entropy
 from wignerlab.states import HelicityClass
 from wignerlab.sweep import (
+    _CSV_CHUNK_ROWS,
+    _PLATEAU_TOL,
+    Dataset,
     ExtremumKind,
     Regime,
     SweepRequest,
@@ -20,6 +23,7 @@ from wignerlab.sweep import (
     sweep_entanglement,
     threshold_speed_region,
     wigner_angle_sweep,
+    _interior_extremum_runs,
 )
 
 # frozen solves: arccos(-1/D) and the delta = pi/2 crossing interval
@@ -32,6 +36,75 @@ REST_E_06 = 0.903094862481601  # h(cos^2 0.6)
 
 def _request(u=0.95, cls=HelicityClass.EQUAL_PLUS, **kw):
     return SweepRequest(u=u, v=u, eta=0.6, helicity_class=cls, **kw)
+
+
+def _csv_reference(columns, rows) -> str:
+    """The per-row f-string serializer that the bulk formatter replaced."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(f"{float(x):.17g}" for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def _assert_same_text(got: str, expected: str) -> None:
+    """Equal texts; a mismatch reports the first differing line, not a full diff."""
+    if got == expected:
+        return
+    got_lines, expected_lines = got.split("\n"), expected.split("\n")
+    first = next(
+        (i for i, (a, b) in enumerate(zip(got_lines, expected_lines)) if a != b),
+        min(len(got_lines), len(expected_lines)),
+    )
+    pytest.fail(
+        f"line {first} differs: {got_lines[first:first + 1]} != "
+        f"{expected_lines[first:first + 1]} ({len(got_lines)} vs "
+        f"{len(expected_lines)} lines)"
+    )
+
+
+def _extremum_runs_reference(entropy) -> list:
+    """The per-sample run-detection loop that find_local_extrema replaced."""
+    n = entropy.size
+    runs = []
+    start = 0
+    for i in range(1, n):
+        if abs(entropy[i] - entropy[i - 1]) > _PLATEAU_TOL:
+            runs.append((start, i - 1))
+            start = i
+    runs.append((start, n - 1))
+    found = []
+    for k, (lo, hi) in enumerate(runs):
+        if k == 0 or k == len(runs) - 1:
+            continue
+        value = entropy[lo]
+        prev_value = entropy[runs[k - 1][1]]
+        next_value = entropy[runs[k + 1][0]]
+        if value > prev_value and value > next_value:
+            found.append((lo, hi, ExtremumKind.MAXIMUM))
+        elif value < prev_value and value < next_value:
+            found.append((lo, hi, ExtremumKind.MINIMUM))
+    return found
+
+
+# float64 values at the edges of %.17g text: signed zeros, the smallest
+# subnormals, non-finite values, the switch between fixed and exponent
+# notation (1e-5, 1e16, 1e17) and integers above 2**53.
+_SPECIAL_FLOATS = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, -math.nan,
+     1e-5, 1e16, 1e17, -1e17, 1e300, 2.0**53 + 2.0, 0.1, 1.0 / 3.0]
+)
+
+
+def _random_bit_rows(rng, nrows, ncols):
+    """Rows of uniformly random float64 bit patterns with the special values mixed in."""
+    bits = rng.integers(0, 2**64, size=(nrows, ncols), dtype=np.uint64)
+    rows = bits.view(np.float64).copy()
+    if nrows:
+        flat = rows.reshape(-1)
+        count = min(flat.size, _SPECIAL_FLOATS.size)
+        where = rng.choice(flat.size, size=count, replace=False)
+        flat[where] = _SPECIAL_FLOATS[:count]
+    return rows
 
 
 class TestRequestValidation:
@@ -161,6 +234,43 @@ class TestExtrema:
         assert extrema[0].kind is ExtremumKind.MAXIMUM
         assert extrema[0].phi == pytest.approx((phi[2] + phi[4]) / 2, abs=1e-15)
 
+    def test_plateau_steps_at_the_tolerance(self):
+        above = np.nextafter(1e-14, 1.0)
+        at_tol = np.array([0.5, 0.0, 1e-14, 0.0, 1e-14, 0.0, 0.5])
+        assert _interior_extremum_runs(at_tol) == [(1, 5, ExtremumKind.MINIMUM)]
+        past_tol = np.array([0.5, 0.0, above, 0.0, above, 0.0, 0.5])
+        assert _interior_extremum_runs(past_tol) == [
+            (1, 1, ExtremumKind.MINIMUM),
+            (2, 2, ExtremumKind.MAXIMUM),
+            (3, 3, ExtremumKind.MINIMUM),
+            (4, 4, ExtremumKind.MAXIMUM),
+            (5, 5, ExtremumKind.MINIMUM),
+        ]
+        for entropy in (at_tol, past_tol):
+            assert _interior_extremum_runs(entropy) == _extremum_runs_reference(entropy)
+
+    def test_extremum_runs_match_per_sample_reference(self):
+        rng = np.random.default_rng(4)
+        above = np.nextafter(1e-14, 1.0)
+        plateaus = np.repeat(
+            rng.integers(0, 4, 400).astype(float), rng.integers(1, 5, 400)
+        )
+        steps = np.cumsum(rng.choice([-above, -1e-14, 0.0, 1e-14, above], 3000))
+        cases = [
+            np.array([0.0, 0.2, 0.5, 0.5, 0.5, 0.2, 0.0]),
+            np.array([1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0]),
+            np.full(10, 0.3),
+            np.array([0.0, 1.0, 0.0]),
+            np.array([0.0, 1.0]),
+            plateaus,
+            steps,
+            rng.normal(size=20_001),
+            np.round(rng.normal(size=20_001), 1),
+            sweep_entanglement(_request(u=0.995, samples=2001)).entropy,
+        ]
+        for entropy in cases:
+            assert _interior_extremum_runs(entropy) == _extremum_runs_reference(entropy)
+
     def test_requires_three_rows(self):
         series = sweep_entanglement(_request(samples=2))
         with pytest.raises(ValueError):
@@ -279,6 +389,48 @@ class TestFigures:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize(
+        "nrows",
+        [0, 1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1],
+    )
+    def test_series_csv_matches_per_row_reference(self, nrows):
+        rng = np.random.default_rng(nrows)
+        phi, delta, entropy = _random_bit_rows(rng, nrows, 3).T
+        series = SweepSeries(
+            request=_request(), phi=phi, delta=delta, entropy=entropy
+        )
+        expected = _csv_reference(
+            ("phi", "delta", "entropy_bits"), zip(phi, delta, entropy)
+        )
+        _assert_same_text(series.to_csv_text(), expected)
+
+    def test_special_values_keep_their_text(self):
+        text = Dataset(
+            columns=("x",), rows=_SPECIAL_FLOATS[:, None], metadata={}
+        ).to_csv_text()
+        assert text.split("\n")[1:8] == ["0", "-0", "4.9406564584124654e-324",
+                                          "-4.9406564584124654e-324", "inf", "-inf",
+                                          "nan"]
+        _assert_same_text(text, _csv_reference(("x",), _SPECIAL_FLOATS[:, None]))
+
+    @pytest.mark.parametrize("nrows", [0, 1, _CSV_CHUNK_ROWS + 1])
+    def test_dataset_csv_matches_per_row_reference(self, nrows):
+        rows = _random_bit_rows(np.random.default_rng(100 + nrows), nrows, 2)
+        dataset = Dataset(columns=("a", "b"), rows=rows, metadata={})
+        _assert_same_text(dataset.to_csv_text(), _csv_reference(("a", "b"), rows))
+
+    def test_zero_row_table_is_the_header_alone(self):
+        dataset = Dataset(columns=("u", "v", "ultra"), rows=np.empty((0, 3)), metadata={})
+        assert dataset.to_csv_text() == "u,v,ultra\n"
+
+    def test_figure_1c_csv_matches_per_row_reference(self):
+        dataset = emit_figure("1c", samples=257)  # 66,049 rows of 0/1 flags
+        assert dataset.rows.shape[0] > _CSV_CHUNK_ROWS
+        assert set(np.unique(dataset.rows[:, 2])) == {0.0, 1.0}
+        _assert_same_text(
+            dataset.to_csv_text(), _csv_reference(dataset.columns, dataset.rows)
+        )
+
     def test_csv_layout(self):
         series = sweep_entanglement(_request(samples=3))
         text = series.to_csv_text()
