@@ -9,7 +9,8 @@ Angles are radians unless ``--degrees`` is given.  Exit codes: 0 on
 success, 1 on usage or validation errors, 2 when verification fails.
 Files are written atomically (temp file + rename), so no partial output
 is left behind on error.  The environment variable WIGNERLAB_THREADS
-caps grid-evaluation parallelism (0 = auto).
+is validated (an integer >= 0) but has no effect: grid evaluation is
+one vectorized pass.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _env_threads() -> int:
+def _check_threads_env() -> None:
     raw = os.environ.get("WIGNERLAB_THREADS", "0")
     try:
         threads = int(raw)
@@ -65,7 +66,6 @@ def _env_threads() -> int:
         raise ValueError(f"WIGNERLAB_THREADS must be an integer, got {raw!r}")
     if threads < 0:
         raise ValueError(f"WIGNERLAB_THREADS must be >= 0, got {threads}")
-    return threads
 
 
 def _to_radians(value: float, degrees: bool) -> float:
@@ -79,7 +79,7 @@ _ANGLE_METHODS = {
 }
 
 
-def _cmd_angle(args, threads: int) -> int:
+def _cmd_angle(args) -> int:
     phi = _to_radians(args.phi, args.degrees)
     methods = list(_ANGLE_METHODS) if args.method == "all" else [args.method]
     values = {m: _ANGLE_METHODS[m](args.u, args.v, phi) for m in methods}
@@ -92,7 +92,7 @@ def _cmd_angle(args, threads: int) -> int:
     return EXIT_OK
 
 
-def _cmd_boost(args, threads: int) -> int:
+def _cmd_boost(args) -> int:
     has_delta = args.delta is not None
     geometry = [args.u, args.v, args.phi]
     has_geometry = any(x is not None for x in geometry)
@@ -121,7 +121,7 @@ def _cmd_boost(args, threads: int) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args, threads: int) -> int:
+def _cmd_sweep(args) -> int:
     request = SweepRequest(
         u=args.u,
         v=args.v,
@@ -131,7 +131,7 @@ def _cmd_sweep(args, threads: int) -> int:
         phi_max=_to_radians(args.phi_max, args.degrees),
         samples=args.samples,
     )
-    series = sweep_entanglement(request, threads=threads)
+    series = sweep_entanglement(request)
     if args.format == "csv":
         text = series.to_csv_text()
     else:
@@ -141,8 +141,8 @@ def _cmd_sweep(args, threads: int) -> int:
     return EXIT_OK
 
 
-def _cmd_figure(args, threads: int) -> int:
-    dataset = emit_figure(args.id, samples=args.samples, threads=threads)
+def _cmd_figure(args) -> int:
+    dataset = emit_figure(args.id, samples=args.samples)
     if args.format == "csv":
         text = dataset.to_csv_text()
     else:
@@ -158,16 +158,15 @@ def _parse_tolerance_overrides(pairs) -> dict:
         name, sep, value = pair.partition("=")
         if not sep:
             raise ValueError(f"--tol expects NAME=VALUE, got {pair!r}")
-        overrides[name] = float(value)
+        tolerance = float(value)
+        if not tolerance >= 0.0:  # NaN fails too
+            raise ValueError(f"--tol {name} must be >= 0, got {value!r}")
+        overrides[name] = tolerance
     return overrides
 
 
-def _cmd_verify(args, threads: int) -> int:
-    results = run_all(
-        grid=args.grid,
-        tolerances=_parse_tolerance_overrides(args.tol),
-        threads=threads,
-    )
+def _cmd_verify(args) -> int:
+    results = run_all(grid=args.grid, tolerances=_parse_tolerance_overrides(args.tol))
     print(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
@@ -248,8 +247,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _env_threads()
-        return args.func(args, threads)
+        _check_threads_env()
+        return args.func(args)
     except ValueError as exc:
         print(f"wignerlab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kinematics import _scalar_or_array
 from .states import HelicityClass, SpinMomentumState
 
 __all__ = [
@@ -69,10 +70,12 @@ def density_eigenvalues(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > _HERMITICITY_TOL:
-        raise ValueError("density matrix is not Hermitian")
+    # Written so that NaN fails each test; any NaN or inf entry makes
+    # the anti-Hermitian part non-finite.
+    if not np.abs(rho - rho.conj().T).max() <= _HERMITICITY_TOL:
+        raise ValueError("density matrix must be finite and Hermitian")
     tr = float(rho.trace().real)
-    if abs(tr - 1.0) > _TRACE_TOL:
+    if not abs(tr - 1.0) <= _TRACE_TOL:
         raise ValueError(f"density matrix must have unit trace, got {tr}")
     det = float((rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real)
     disc = max(tr * tr - 4.0 * det, 0.0)
@@ -83,27 +86,25 @@ def density_eigenvalues(rho: np.ndarray) -> np.ndarray:
     return np.clip(lam, 0.0, 1.0)
 
 
+def _xlog2x(x):
+    """x log2 x elementwise, with 0 log 0 := 0; log2 only ever sees positive values."""
+    return np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
+
+
 def binary_entropy(p):
-    """h(p) = -p log2 p - (1-p) log2 (1-p) in bits, with 0 log 0 := 0."""
+    """h(p) = -p log2 p - (1-p) log2 (1-p) in bits, with 0 log 0 := 0.
+
+    ``p`` is clipped into [0, 1]; non-finite ``p`` raises ValueError.
+    """
+    _check_finite("p", p)
     p = np.clip(p, 0.0, 1.0)
-    q = 1.0 - p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -(
-            np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
-            + np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0)
-        )
-    h = h + 0.0  # normalize -0.0
-    if np.ndim(h) == 0:
-        return float(h)
-    return h
+    h = -(_xlog2x(p) + _xlog2x(1.0 - p))
+    return _scalar_or_array(h + 0.0)  # + 0.0 normalizes -0.0
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy -sum(lambda log2 lambda) of a 2x2 density matrix, in bits."""
-    lam = density_eigenvalues(rho)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(lam > 0.0, lam * np.log2(np.where(lam > 0.0, lam, 1.0)), 0.0)
-    return float(-np.sum(terms) + 0.0)
+    return float(-np.sum(_xlog2x(density_eigenvalues(rho))) + 0.0)
 
 
 def rest_frame_entropy(eta, helicity_class: HelicityClass):
@@ -116,8 +117,7 @@ def rest_frame_entropy(eta, helicity_class: HelicityClass):
     """
     _check_finite("eta", eta)
     if helicity_class is HelicityClass.UNEQUAL:
-        out = np.zeros_like(np.asarray(eta, dtype=float))
-        return float(out) if np.ndim(out) == 0 else out
+        return _scalar_or_array(np.zeros_like(np.asarray(eta, dtype=float)))
     return binary_entropy(np.square(np.cos(eta)))
 
 
@@ -143,17 +143,8 @@ def boosted_entropy_closed_form(eta, delta, helicity_class: HelicityClass):
     _check_finite("eta", eta)
     _check_finite("delta", delta)
     gap = _xi_factor(eta, delta, helicity_class)
-    p = 0.5 * (1.0 + gap)
-    q = 0.5 * (1.0 - gap)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -(
-            np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
-            + np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0)
-        )
-    h = h + 0.0
-    if np.ndim(h) == 0:
-        return float(h)
-    return h
+    h = -(_xlog2x(0.5 * (1.0 + gap)) + _xlog2x(0.5 * (1.0 - gap)))
+    return _scalar_or_array(h + 0.0)
 
 
 def boosted_entropy_derivative(eta, delta):
@@ -176,19 +167,14 @@ def boosted_entropy_derivative(eta, delta):
     eta = np.asarray(eta, dtype=float)
     delta = np.asarray(delta, dtype=float)
     s2 = np.square(np.sin(2.0 * eta))
-    gap = np.clip(
-        np.sqrt(np.square(np.cos(2.0 * eta)) + np.square(np.sin(delta)) * s2), 0.0, 1.0
-    )
+    gap = _xi_factor(eta, delta, HelicityClass.EQUAL_PLUS)
     singular = (gap <= 0.0) | (gap >= 1.0)
     safe_gap = np.where(singular, 0.5, gap)
     with np.errstate(divide="ignore", invalid="ignore"):
         value = (
             -np.sin(2.0 * delta) * s2 * np.arctanh(safe_gap) / (2.0 * safe_gap * _LN2)
         )
-    out = np.where(singular, 0.0, value) + 0.0
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(np.where(singular, 0.0, value) + 0.0)
 
 
 def entanglement_difference_bound(eta, delta, helicity_class: HelicityClass):
@@ -212,6 +198,4 @@ def entanglement_difference_bound(eta, delta, helicity_class: HelicityClass):
     else:
         difference = rest - boosted
     bound = np.square(np.sin(2.0 * eta)) * np.square(np.sin(delta)) / (2.0 * _LN2)
-    if np.ndim(difference) == 0 and np.ndim(bound) == 0:
-        return float(difference), float(bound)
-    return difference, bound
+    return _scalar_or_array(difference), _scalar_or_array(bound)

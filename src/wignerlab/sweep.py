@@ -15,8 +15,7 @@ produce byte-identical text.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -47,7 +46,6 @@ __all__ = [
     "golden_section_minimize",
     "sweep_entanglement",
     "threshold_speed_region",
-    "wigner_angle_sweep",
 ]
 
 _PLATEAU_TOL = 1e-14
@@ -71,28 +69,18 @@ def _csv_text(header: tuple, rows: np.ndarray) -> str:
     return "".join(parts)
 
 
-def _resolve_threads(threads: int) -> int:
-    """Worker count for grid evaluation; 0 = auto (single vectorized pass)."""
-    if threads < 0:
-        raise ValueError(f"threads must be >= 0, got {threads}")
-    if threads == 0:
-        return 1
-    return min(threads, os.cpu_count() or 1, 64)
+def _check_samples(samples) -> None:
+    """ValueError unless ``samples`` is an integer >= 2.
 
-
-def _chunked_eval(fn, grid: np.ndarray, threads: int) -> np.ndarray:
-    """Apply a vectorized fn over grid, optionally split across threads.
-
-    Chunking never changes values (elementwise ufuncs), so the output is
-    deterministic for any thread count.
+    A float is refused even when integral: ``np.linspace`` would raise
+    TypeError on it later, and inf or NaN would overflow ``int()``.
     """
-    workers = _resolve_threads(threads)
-    if workers <= 1 or grid.size < 2 * workers:
-        return fn(grid)
-    chunks = np.array_split(grid, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(fn, chunks))
-    return np.concatenate(parts)
+    try:
+        ok = operator.index(samples) >= 2
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"samples must be an integer >= 2, got {samples}")
 
 
 @dataclass(frozen=True)
@@ -117,8 +105,7 @@ class SweepRequest:
             raise ValueError(
                 f"need 0 <= phi_min < phi_max <= pi, got [{self.phi_min}, {self.phi_max}]"
             )
-        if int(self.samples) != self.samples or self.samples < 2:
-            raise ValueError(f"samples must be an integer >= 2, got {self.samples}")
+        _check_samples(self.samples)
 
     def metadata(self) -> dict:
         return {
@@ -158,10 +145,7 @@ class SweepSeries:
     def to_json_dict(self) -> dict:
         return {
             "metadata": self.metadata(),
-            "rows": [
-                [float(p), float(d), float(e)]
-                for p, d, e in zip(self.phi, self.delta, self.entropy)
-            ],
+            "rows": np.column_stack([self.phi, self.delta, self.entropy]).tolist(),
         }
 
 
@@ -180,30 +164,22 @@ class Dataset:
         return {
             "metadata": self.metadata,
             "columns": list(self.columns),
-            "rows": [[float(x) for x in row] for row in self.rows],
+            "rows": np.asarray(self.rows, dtype=float).tolist(),
         }
 
 
-def sweep_entanglement(request: SweepRequest, threads: int = 0) -> SweepSeries:
+def sweep_entanglement(request: SweepRequest) -> SweepSeries:
     """Evaluate delta(phi) and Etilde(phi) on a uniform phi grid.
 
-    Deterministic for identical requests regardless of ``threads``
-    (0 = auto).
+    One vectorized pass over the grid, so identical requests give
+    identical arrays.
     """
     phis = np.linspace(request.phi_min, request.phi_max, request.samples)
-    delta = _chunked_eval(
-        lambda p: wigner_angle_tan_form(request.u, request.v, p), phis, threads
-    )
+    delta = wigner_angle_tan_form(request.u, request.v, phis)
     entropy = boosted_entropy_closed_form(request.eta, delta, request.helicity_class)
     for arr in (phis, delta, entropy):
         arr.flags.writeable = False
     return SweepSeries(request=request, phi=phis, delta=delta, entropy=entropy)
-
-
-def wigner_angle_sweep(u: float, v: float, phis) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation angle delta over a boosting-angle grid; returns (phi, delta)."""
-    phis = np.asarray(phis, dtype=float)
-    return phis, np.asarray(wigner_angle_tan_form(u, v, phis))
 
 
 def golden_section_minimize(f, a: float, b: float, tol: float = 1e-8) -> float:
@@ -347,7 +323,7 @@ _FIG3C_SPEED = 0.995
 _FIG3_ETA = 0.6
 
 
-def emit_figure(figure_id: str, samples: int | None = None, threads: int = 0):
+def emit_figure(figure_id: str, samples: int | None = None):
     """Dataset behind one reference figure; ``samples`` overrides grid density only.
 
     1a: delta vs equal speed u = v, one curve per boosting angle in
@@ -361,19 +337,15 @@ def emit_figure(figure_id: str, samples: int | None = None, threads: int = 0):
     3c: entanglement sweep, eta = 0.6, u = v = 0.995 (reaches the
         ultra-relativistic regime between the crossings).
     """
-    if samples is not None and (int(samples) != samples or samples < 2):
-        raise ValueError(f"samples must be an integer >= 2, got {samples}")
+    if samples is not None:
+        _check_samples(samples)
 
     if figure_id == "1a":
         n = samples or 501
         speeds = np.linspace(0.0, _FIG1A_SPEED_MAX, n)
         rows = []
         for phi in _FIG1A_PHI_VALUES:
-            delta = _chunked_eval(
-                lambda s, phi=phi: np.asarray(wigner_angle_tan_form(s, s, phi)),
-                speeds,
-                threads,
-            )
+            delta = wigner_angle_tan_form(speeds, speeds, phi)
             rows.append(np.column_stack([speeds, np.full(n, phi), delta]))
         return Dataset(
             columns=("u", "phi", "delta"),
@@ -392,9 +364,7 @@ def emit_figure(figure_id: str, samples: int | None = None, threads: int = 0):
         phis = np.linspace(0.0, math.pi, n)
         rows = []
         for u in _FIG1B_SPEEDS:
-            delta = _chunked_eval(
-                lambda p: np.asarray(wigner_angle_tan_form(u, u, p)), phis, threads
-            )
+            delta = wigner_angle_tan_form(u, u, phis)
             rows.append(np.column_stack([np.full(n, u), phis, delta]))
         return Dataset(
             columns=("u", "phi", "delta"),
@@ -439,7 +409,7 @@ def emit_figure(figure_id: str, samples: int | None = None, threads: int = 0):
             helicity_class=HelicityClass.EQUAL_PLUS,
             samples=samples or 2001,
         )
-        series = sweep_entanglement(request, threads=threads)
+        series = sweep_entanglement(request)
         extras = {"figure": figure_id, "phi_star": argmax_boost_angle(speed, speed)}
         crossings = ultra_phi_interval(speed, speed)
         if crossings is not None:
@@ -456,7 +426,8 @@ def emit_figure(figure_id: str, samples: int | None = None, threads: int = 0):
     if figure_id == "3b":
         n = samples or 2001
         u = _FIG3C_SPEED
-        phis, delta = wigner_angle_sweep(u, u, np.linspace(0.0, math.pi, n))
+        phis = np.linspace(0.0, math.pi, n)
+        delta = wigner_angle_tan_form(u, u, phis)
         crossings = ultra_phi_interval(u, u)
         return Dataset(
             columns=("phi", "delta"),

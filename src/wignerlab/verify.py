@@ -452,7 +452,7 @@ def _check_entropy_analytics(n: int, tols: dict) -> list[CheckResult]:
     return results
 
 
-def _check_sweeps(n: int, tols: dict, threads: int) -> list[CheckResult]:
+def _check_sweeps(n: int, tols: dict) -> list[CheckResult]:
     requests = [
         sw.SweepRequest(0.95, 0.95, 0.6, HelicityClass.EQUAL_PLUS),
         sw.SweepRequest(0.995, 0.995, 0.6, HelicityClass.EQUAL_PLUS),
@@ -462,7 +462,7 @@ def _check_sweeps(n: int, tols: dict, threads: int) -> list[CheckResult]:
     worst_extremum = 0.0
     regime_mismatches = 0
     for req in requests:
-        series = sw.sweep_entanglement(req, threads=threads)
+        series = sw.sweep_entanglement(req)
         delta_ref = np.asarray(kin.wigner_angle_tan_form(req.u, req.v, series.phi))
         entropy_ref = ent.boosted_entropy_closed_form(
             req.eta, series.delta, req.helicity_class
@@ -510,9 +510,7 @@ def _check_sweeps(n: int, tols: dict, threads: int) -> list[CheckResult]:
     ]
 
 
-def run_all(
-    grid: int = 50, tolerances: dict | None = None, threads: int = 0
-) -> list[CheckResult]:
+def run_all(grid: int = 50, tolerances: dict | None = None) -> list[CheckResult]:
     """Run every check; ``tolerances`` overrides defaults by check name."""
     if grid < 3:
         raise ValueError(f"grid must be >= 3, got {grid}")
@@ -532,7 +530,7 @@ def run_all(
     results += _check_states(grid, tols, rng)
     results += _check_entropy_oracle(grid, tols, rng)
     results += _check_entropy_analytics(grid, tols)
-    results += _check_sweeps(grid, tols, threads)
+    results += _check_sweeps(grid, tols)
     return results
 
 

@@ -232,6 +232,14 @@ class TestVerifyCommand:
         code, _, err = _run(capsys, "verify", "--grid", "8", "--tol", "nope=1")
         assert code == EXIT_USAGE and "unknown tolerance" in err
 
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_negative_or_nan_tolerance_rejected(self, capsys, value):
+        code, out, err = _run(
+            capsys, "verify", "--grid", "8", "--tol", f"angle_forms_agree={value}"
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert "angle_forms_agree must be >= 0" in err
+
     def test_malformed_tolerance_rejected(self, capsys):
         code, _, err = _run(capsys, "verify", "--grid", "8", "--tol", "oops")
         assert code == EXIT_USAGE and "NAME=VALUE" in err

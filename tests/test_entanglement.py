@@ -313,6 +313,26 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="^eta must be finite"):
             ent.boosted_entropy_derivative(bad, 1.0)
 
+    # inf - inf in the anti-Hermitian part warns before the ValueError
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 1)])
+    def test_density_matrix_rejects(self, bad, where):
+        rho = np.eye(2, dtype=complex) / 2
+        rho[where] = bad
+        for call in (ent.density_eigenvalues, ent.von_neumann_entropy):
+            with pytest.raises(ValueError, match="finite and Hermitian"):
+                call(rho)
+        with pytest.raises(ValueError, match="finite and Hermitian"):
+            ent.von_neumann_entropy(np.full((2, 2), bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_binary_entropy_rejects(self, bad):
+        with pytest.raises(ValueError, match="^p must be finite"):
+            ent.binary_entropy(bad)
+        with pytest.raises(ValueError, match="^p must be finite"):
+            ent.binary_entropy(np.array([0.5, bad]))
+
     def test_nan_inside_an_array_rejected(self):
         delta = np.array([0.5, 1.0, math.nan])
         with pytest.raises(ValueError, match="delta must be finite"):
