@@ -60,7 +60,6 @@ from .sweep import (
     SweepSeries,
     emit_figure,
     find_local_extrema,
-    golden_section_minimize,
     sweep_entanglement,
     threshold_speed_region,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "entanglement_difference_bound",
     "equal_speed_ultra_threshold",
     "find_local_extrema",
-    "golden_section_minimize",
     "local_unitary_psi_to_psitilde",
     "lorentz_defect",
     "lorentz_gamma",

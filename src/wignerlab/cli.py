@@ -8,9 +8,7 @@ angle, to file), figure (reference-figure datasets, to file), verify
 Angles are radians unless ``--degrees`` is given.  Exit codes: 0 on
 success, 1 on usage or validation errors, 2 when verification fails.
 Files are written atomically (temp file + rename), so no partial output
-is left behind on error.  The environment variable WIGNERLAB_THREADS
-is validated (an integer >= 0) but has no effect: grid evaluation is
-one vectorized pass.
+is left behind on error.
 """
 
 from __future__ import annotations
@@ -56,16 +54,6 @@ def _atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
-
-
-def _check_threads_env() -> None:
-    raw = os.environ.get("WIGNERLAB_THREADS", "0")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ValueError(f"WIGNERLAB_THREADS must be an integer, got {raw!r}")
-    if threads < 0:
-        raise ValueError(f"WIGNERLAB_THREADS must be >= 0, got {threads}")
 
 
 def _to_radians(value: float, degrees: bool) -> float:
@@ -247,7 +235,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_threads_env()
         return args.func(args)
     except ValueError as exc:
         print(f"wignerlab: error: {exc}", file=sys.stderr)

@@ -70,9 +70,10 @@ def density_eigenvalues(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
-    # Written so that NaN fails each test; any NaN or inf entry makes
-    # the anti-Hermitian part non-finite.
-    if not np.abs(rho - rho.conj().T).max() <= _HERMITICITY_TOL:
+    # Finiteness first, so that inf - inf never reaches the hermiticity test.
+    if not (
+        np.isfinite(rho).all() and np.abs(rho - rho.conj().T).max() <= _HERMITICITY_TOL
+    ):
         raise ValueError("density matrix must be finite and Hermitian")
     tr = float(rho.trace().real)
     if not abs(tr - 1.0) <= _TRACE_TOL:
@@ -122,14 +123,18 @@ def rest_frame_entropy(eta, helicity_class: HelicityClass):
 
 
 def _xi_factor(eta, delta, helicity_class: HelicityClass):
-    """sqrt(cos^2 2eta + W sin^2 2eta), the spectral gap 2p - 1 of the reduced matrix."""
+    """``(s2, gap)``: s2 = sin^2 2eta and gap = sqrt(cos^2 2eta + W s2).
+
+    The gap is 2p - 1, the spectral gap of the reduced matrix.
+    """
     w = (
         np.square(np.cos(delta))
         if helicity_class is HelicityClass.UNEQUAL
         else np.square(np.sin(delta))
     )
-    gap = np.sqrt(np.square(np.cos(2.0 * eta)) + w * np.square(np.sin(2.0 * eta)))
-    return np.clip(gap, 0.0, 1.0)
+    s2 = np.square(np.sin(2.0 * eta))
+    gap = np.sqrt(np.square(np.cos(2.0 * eta)) + w * s2)
+    return s2, np.clip(gap, 0.0, 1.0)
 
 
 def boosted_entropy_closed_form(eta, delta, helicity_class: HelicityClass):
@@ -142,7 +147,7 @@ def boosted_entropy_closed_form(eta, delta, helicity_class: HelicityClass):
     """
     _check_finite("eta", eta)
     _check_finite("delta", delta)
-    gap = _xi_factor(eta, delta, helicity_class)
+    _, gap = _xi_factor(eta, delta, helicity_class)
     h = -(_xlog2x(0.5 * (1.0 + gap)) + _xlog2x(0.5 * (1.0 - gap)))
     return _scalar_or_array(h + 0.0)
 
@@ -166,8 +171,7 @@ def boosted_entropy_derivative(eta, delta):
     _check_finite("delta", delta)
     eta = np.asarray(eta, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    s2 = np.square(np.sin(2.0 * eta))
-    gap = _xi_factor(eta, delta, HelicityClass.EQUAL_PLUS)
+    s2, gap = _xi_factor(eta, delta, HelicityClass.EQUAL_PLUS)
     singular = (gap <= 0.0) | (gap >= 1.0)
     safe_gap = np.where(singular, 0.5, gap)
     with np.errstate(divide="ignore", invalid="ignore"):

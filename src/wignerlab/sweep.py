@@ -3,9 +3,17 @@
 The composed quantity is Etilde(phi) = E(delta(phi)): the rotation angle
 from the tangent form (the cheap path; the cosine form and the matrix
 route stay in the verification suite) fed into the closed-form boosted
-entropy.  On top of the raw series this module locates and refines local
-extrema, classifies their relativistic regime, and emits the datasets
-behind the reference figures.
+entropy.  On top of the raw series this module locates local extrema,
+classifies their relativistic regime, and emits the datasets behind the
+reference figures.
+
+The extrema need no numerical search.  By the paper's monotonicity
+theorem E falls in delta on (0, pi/2) and rises on (pi/2, pi) for the
+equal-helicity families (the other way round for the unequal-helicity
+family), and delta(phi) is concave with its one maximum at
+phi* = arccos(-1/D).  So Etilde can turn only at phi* or where
+delta = pi/2, and both have closed forms: ``argmax_boost_angle`` and
+the endpoints of ``ultra_phi_interval``.
 
 Output formats: CSV with 17-significant-digit decimals and LF line
 endings; JSON as {"metadata": ..., "rows": ...}.  Identical inputs
@@ -43,13 +51,11 @@ __all__ = [
     "SweepSeries",
     "emit_figure",
     "find_local_extrema",
-    "golden_section_minimize",
     "sweep_entanglement",
     "threshold_speed_region",
 ]
 
 _PLATEAU_TOL = 1e-14
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _CSV_CHUNK_ROWS = 65_536
 
 
@@ -182,25 +188,6 @@ def sweep_entanglement(request: SweepRequest) -> SweepSeries:
     return SweepSeries(request=request, phi=phis, delta=delta, entropy=entropy)
 
 
-def golden_section_minimize(f, a: float, b: float, tol: float = 1e-8) -> float:
-    """Golden-section search for the minimizer of a unimodal f on [a, b]."""
-    if not b > a:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while d - c > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 class ExtremumKind(Enum):
     MINIMUM = "min"
     MAXIMUM = "max"
@@ -249,21 +236,25 @@ def _interior_extremum_runs(entropy: np.ndarray) -> list[tuple]:
     ]
 
 
-def find_local_extrema(series: SweepSeries, tol: float = 1e-8) -> list[Extremum]:
+def find_local_extrema(series: SweepSeries) -> list[Extremum]:
     """Locate interior local extrema of Etilde(phi) in a sweep.
 
-    Sample runs equal within 1e-14 are collapsed: a single-sample
-    extremum (entropy strictly above/below both neighbors) is refined by
-    golden-section search on the continuous Etilde(phi) to ``tol`` in
-    phi, while a multi-sample plateau is reported once at its midpoint
-    and flagged.  Endpoint samples never produce extrema.  The regime is
-    classified with the same branch-safe delta >= pi/2 test used by
-    :func:`wignerlab.kinematics.ultra_relativistic_condition`, so the
-    two always agree.
+    Sample runs equal within 1e-14 are collapsed.  A multi-sample
+    plateau is reported once at its midpoint and flagged.  A
+    single-sample extremum at index ``lo`` is reported at a closed-form
+    angle: by the monotonicity theorem (module docstring) the only
+    interior extrema of Etilde are phi* = arccos(-1/D)
+    (:func:`~wignerlab.kinematics.argmax_boost_angle`) and the
+    delta = pi/2 crossings
+    (:func:`~wignerlab.kinematics.ultra_phi_interval`).  The candidate
+    lying in ``[phi[lo-1], phi[lo+1]]`` is taken, the most extreme one if
+    several do (the nearest one, should none).  Endpoint samples never
+    produce extrema.  The regime is classified with
+    :func:`wignerlab.kinematics.ultra_relativistic_condition`, so the two
+    always agree.
     """
     req = series.request
-    n = series.phi.size
-    if n < 3:
+    if series.phi.size < 3:
         raise ValueError("need at least 3 rows to search for interior extrema")
 
     def etilde(p):
@@ -271,18 +262,20 @@ def find_local_extrema(series: SweepSeries, tol: float = 1e-8) -> list[Extremum]
             req.eta, wigner_angle_tan_form(req.u, req.v, p), req.helicity_class
         )
 
+    candidates = None  # built on demand: argmax_boost_angle raises for u = 0 or v = 0
     found = []
     for lo, hi, kind in _interior_extremum_runs(series.entropy):
         if hi > lo:  # plateau run
-            phi_hat = 0.5 * (series.phi[lo] + series.phi[hi])
-            plateau = True
+            phi_hat = float(0.5 * (series.phi[lo] + series.phi[hi]))
         else:
+            if candidates is None:
+                crossings = ultra_phi_interval(req.u, req.v) or ()
+                candidates = (argmax_boost_angle(req.u, req.v), *crossings)
             a, b = series.phi[lo - 1], series.phi[lo + 1]
-            if kind is ExtremumKind.MINIMUM:
-                phi_hat = golden_section_minimize(etilde, a, b, tol)
-            else:
-                phi_hat = golden_section_minimize(lambda p: -etilde(p), a, b, tol)
-            plateau = False
+            sign = 1.0 if kind is ExtremumKind.MINIMUM else -1.0
+            phi_hat = min(
+                candidates, key=lambda c: (max(a - c, c - b, 0.0), sign * etilde(c))
+            )
         regime = (
             Regime.ULTRA
             if ultra_relativistic_condition(req.u, req.v, phi_hat)
@@ -290,11 +283,11 @@ def find_local_extrema(series: SweepSeries, tol: float = 1e-8) -> list[Extremum]
         )
         found.append(
             Extremum(
-                phi=float(phi_hat),
+                phi=phi_hat,
                 entropy=float(etilde(phi_hat)),
                 kind=kind,
                 regime=regime,
-                plateau=plateau,
+                plateau=hi > lo,
             )
         )
     return found

@@ -183,12 +183,16 @@ class TestSweepCommand:
         assert base.read_bytes() == threaded.read_bytes()
 
     def test_invalid_threads_env(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("WIGNERLAB_THREADS", "many")
-        code, _, err = _run(
-            capsys, "sweep", "--u", "0.5", "--v", "0.5", "--eta", "0.6",
-            "--class", "psi", "--out", str(tmp_path / "x.csv"),
+        # The variable is ignored, so even a non-integer value changes nothing.
+        args = (
+            "sweep", "--u", "0.5", "--v", "0.5", "--eta", "0.6", "--class", "psi",
         )
-        assert code == EXIT_USAGE and "WIGNERLAB_THREADS" in err
+        base = tmp_path / "base.csv"
+        assert _run(capsys, *args, "--out", str(base))[0] == EXIT_OK
+        monkeypatch.setenv("WIGNERLAB_THREADS", "many")
+        ignored = tmp_path / "ignored.csv"
+        assert _run(capsys, *args, "--out", str(ignored))[0] == EXIT_OK
+        assert base.read_bytes() == ignored.read_bytes()
 
 
 class TestFigureCommand:

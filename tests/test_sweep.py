@@ -19,7 +19,6 @@ from wignerlab.sweep import (
     SweepSeries,
     emit_figure,
     find_local_extrema,
-    golden_section_minimize,
     sweep_entanglement,
     threshold_speed_region,
     _interior_extremum_runs,
@@ -159,21 +158,6 @@ class TestSweep:
         assert series.entropy.min() >= -1e-15
 
 
-class TestGoldenSection:
-    def test_finds_parabola_minimum(self):
-        assert golden_section_minimize(lambda x: (x - 1.3) ** 2, 0.0, 2.0) == pytest.approx(
-            1.3, abs=1e-8
-        )
-
-    def test_maximum_via_negation(self):
-        top = golden_section_minimize(lambda x: -math.sin(x), 0.0, math.pi)
-        assert top == pytest.approx(math.pi / 2, abs=1e-8)
-
-    def test_bad_bracket(self):
-        with pytest.raises(ValueError):
-            golden_section_minimize(lambda x: x, 1.0, 1.0)
-
-
 class TestExtrema:
     def test_mid_relativistic_equal_single_minimum(self):
         series = sweep_entanglement(_request(u=0.95))
@@ -279,6 +263,77 @@ class TestExtrema:
                 assert (ext.regime is Regime.ULTRA) == kin.ultra_relativistic_condition(
                     u, u, ext.phi
                 )
+
+    @staticmethod
+    def _candidates(u, v):
+        return (kin.argmax_boost_angle(u, v), *(kin.ultra_phi_interval(u, v) or ()))
+
+    @pytest.mark.parametrize("figure_id", ["3a", "3c"])
+    def test_figure_extrema_at_closed_form_angles(self, figure_id):
+        series = emit_figure(figure_id)
+        req = series.request
+        extrema = find_local_extrema(series)
+        assert extrema and not any(e.plateau for e in extrema)
+        candidates = self._candidates(req.u, req.v)
+        assert all(any(e.phi == c for c in candidates) for e in extrema)
+
+    def test_near_flat_minimum_is_exactly_phi_star(self):
+        request = SweepRequest(
+            0.9999712558638756, 0.7546749822842906, eta=1e-6,
+            helicity_class=HelicityClass.EQUAL_MINUS, samples=11,
+        )
+        (ext,) = find_local_extrema(sweep_entanglement(request))
+        assert ext.kind is ExtremumKind.MINIMUM and not ext.plateau
+        assert ext.phi == kin.argmax_boost_angle(request.u, request.v)
+
+    @staticmethod
+    def _random_request(rng):
+        def speed():
+            r = rng.random()
+            if r < 0.4:
+                return 1.0 - 10.0 ** -rng.uniform(1, 8)
+            if r < 0.5:
+                return 10.0 ** -rng.uniform(0, 6)
+            return rng.uniform(0.0, 1.0)
+
+        if rng.random() < 0.5:
+            eta = rng.uniform(0.0, 2.0 * math.pi)
+        else:  # near a Bell point or a product state
+            offset = rng.choice([-1.0, 1.0]) * 10.0 ** -rng.uniform(1, 9)
+            eta = rng.integers(1, 8) * math.pi / 4 + offset
+        phi_min, phi_max = 0.0, math.pi
+        if rng.random() < 0.3:
+            phi_min, phi_max = sorted(rng.uniform(0.0, math.pi, 2))
+        return SweepRequest(
+            speed(), speed(), float(eta), rng.choice(list(HelicityClass)),
+            phi_min, phi_max, int(rng.integers(3, 300)),
+        )
+
+    def test_random_sweeps_report_bracketed_closed_form_angles(self):
+        rng = np.random.default_rng(6)
+        checked = 0
+        for _ in range(500):
+            series = sweep_entanglement(self._random_request(rng))
+            req = series.request
+            runs = _interior_extremum_runs(series.entropy)
+            extrema = find_local_extrema(series)
+            assert len(extrema) == len(runs)
+            for ext, (lo, hi, kind) in zip(extrema, runs):
+                assert ext.kind is kind and ext.plateau == (hi > lo)
+                if ext.plateau:
+                    continue
+                checked += 1
+                assert any(ext.phi == c for c in self._candidates(req.u, req.v))
+                assert series.phi[lo - 1] <= ext.phi <= series.phi[lo + 1]
+                sign = 1.0 if kind is ExtremumKind.MINIMUM else -1.0
+                bracket = series.entropy[lo - 1 : lo + 2]
+                assert (sign * (ext.entropy - bracket)).max() <= 1e-15
+        assert checked > 300
+
+    def test_zero_speed_sweep_has_no_extrema(self):
+        for u, v in ((0.0, 0.9), (0.9, 0.0), (0.0, 0.0)):
+            request = SweepRequest(u, v, 0.6, HelicityClass.EQUAL_PLUS, samples=101)
+            assert find_local_extrema(sweep_entanglement(request)) == []
 
 
 class TestAngleSweepAndRegion:
