@@ -18,9 +18,11 @@ W = cos^2(delta) for the unequal-helicity family.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .kinematics import _scalar_or_array
+from .kinematics import _clip, _scalar_or_array
 from .states import HelicityClass, SpinMomentumState
 
 __all__ = [
@@ -41,7 +43,7 @@ _EIGENVALUE_FLOOR = -1e-9
 
 
 def _check_finite(name: str, x) -> None:
-    if not np.isfinite(x).all():
+    if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
         raise ValueError(f"{name} must be finite, got {x}")
 
 
@@ -84,11 +86,13 @@ def density_eigenvalues(rho: np.ndarray) -> np.ndarray:
     lam = np.array([(tr + root) / 2.0, (tr - root) / 2.0])
     if lam.min() < _EIGENVALUE_FLOOR:
         raise ValueError(f"density matrix is not positive semidefinite: {lam}")
-    return np.clip(lam, 0.0, 1.0)
+    return lam.clip(0.0, 1.0)
 
 
 def _xlog2x(x):
     """x log2 x elementwise, with 0 log 0 := 0; log2 only ever sees positive values."""
+    if isinstance(x, float):
+        return x * np.log2(x) if x > 0.0 else 0.0
     return np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
 
 
@@ -98,14 +102,15 @@ def binary_entropy(p):
     ``p`` is clipped into [0, 1]; non-finite ``p`` raises ValueError.
     """
     _check_finite("p", p)
-    p = np.clip(p, 0.0, 1.0)
+    p = _clip(p, 1.0)
     h = -(_xlog2x(p) + _xlog2x(1.0 - p))
     return _scalar_or_array(h + 0.0)  # + 0.0 normalizes -0.0
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy -sum(lambda log2 lambda) of a 2x2 density matrix, in bits."""
-    return float(-np.sum(_xlog2x(density_eigenvalues(rho))) + 0.0)
+    larger, smaller = density_eigenvalues(rho).tolist()
+    return float(-(_xlog2x(larger) + _xlog2x(smaller)) + 0.0)  # np.sum's order
 
 
 def rest_frame_entropy(eta, helicity_class: HelicityClass):
@@ -134,7 +139,7 @@ def _xi_factor(eta, delta, helicity_class: HelicityClass):
     )
     s2 = np.square(np.sin(2.0 * eta))
     gap = np.sqrt(np.square(np.cos(2.0 * eta)) + w * s2)
-    return s2, np.clip(gap, 0.0, 1.0)
+    return s2, _clip(gap, 1.0)
 
 
 def boosted_entropy_closed_form(eta, delta, helicity_class: HelicityClass):
@@ -150,6 +155,11 @@ def boosted_entropy_closed_form(eta, delta, helicity_class: HelicityClass):
     _, gap = _xi_factor(eta, delta, helicity_class)
     h = -(_xlog2x(0.5 * (1.0 + gap)) + _xlog2x(0.5 * (1.0 - gap)))
     return _scalar_or_array(h + 0.0)
+
+
+def _slope(delta, s2, gap):
+    """The derivative's expression, for gap strictly inside (0, 1)."""
+    return -np.sin(2.0 * delta) * s2 * np.arctanh(gap) / (2.0 * gap * _LN2)
 
 
 def boosted_entropy_derivative(eta, delta):
@@ -169,15 +179,15 @@ def boosted_entropy_derivative(eta, delta):
     """
     _check_finite("eta", eta)
     _check_finite("delta", delta)
-    eta = np.asarray(eta, dtype=float)
-    delta = np.asarray(delta, dtype=float)
+    if not (isinstance(eta, float) and isinstance(delta, float)):
+        eta = np.asarray(eta, dtype=float)
+        delta = np.asarray(delta, dtype=float)
     s2, gap = _xi_factor(eta, delta, HelicityClass.EQUAL_PLUS)
+    if isinstance(gap, float):
+        return float(_slope(delta, s2, gap) + 0.0) if 0.0 < gap < 1.0 else 0.0
     singular = (gap <= 0.0) | (gap >= 1.0)
-    safe_gap = np.where(singular, 0.5, gap)
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = (
-            -np.sin(2.0 * delta) * s2 * np.arctanh(safe_gap) / (2.0 * safe_gap * _LN2)
-        )
+        value = _slope(delta, s2, np.where(singular, 0.5, gap))
     return _scalar_or_array(np.where(singular, 0.0, value) + 0.0)
 
 

@@ -15,12 +15,17 @@ All angle functions accept scalars or numpy arrays (broadcast like
 ufuncs) and are pure, so they are safe to call concurrently.  The matrix
 route works on stacks too: velocities are (..., 3) arrays, matrices
 (..., 4, 4), and a scalar input is the stack with an empty leading shape.
-NaN and infinite inputs are rejected with ValueError.
+NaN and infinite inputs are rejected with ValueError.  A call whose
+inputs are all Python floats (``np.float64`` included) validates, masks
+and clips with plain Python operations instead of numpy's 0-d array
+machinery, and evaluates the same ufunc expressions as an array call, so
+it returns the same bits as the array call on the same values.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -49,21 +54,55 @@ MINKOWSKI_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 MINKOWSKI_METRIC.flags.writeable = False
 
 
-def _check_speed(u, name: str = "speed") -> None:
-    u = np.asarray(u)
-    if not ((u >= 0.0) & (u < 1.0)).all():  # NaN fails both comparisons
-        raise ValueError(f"{name} must satisfy 0 <= {name} < 1 (units of c), got {u}")
+#: Spatial block of the zero-velocity boost.
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
+# Range rules for _check_range: (upper-bound comparison, upper bound, message).
+_SPEED = (operator.lt, 1.0, "speed must satisfy 0 <= speed < 1 (units of c)")
+_U = (operator.lt, 1.0, "u must satisfy 0 <= u < 1 (units of c)")
+_V = (operator.lt, 1.0, "v must satisfy 0 <= v < 1 (units of c)")
+_PHI = (operator.le, math.pi, "boosting angle must lie in [0, pi]")
 
 
-def _check_phi(phi) -> None:
-    phi = np.asarray(phi)
-    if not ((phi >= 0.0) & (phi <= np.pi)).all():
-        raise ValueError(f"boosting angle must lie in [0, pi], got {phi}")
+def _check_range(x, rule) -> None:
+    """Raise ValueError unless 0 <= x and ``below(x, upper)`` hold everywhere.
+
+    A float is tested with plain comparisons, anything else elementwise
+    as an array; NaN fails every comparison either way.
+    """
+    below, upper, message = rule
+    if isinstance(x, float):
+        if 0.0 <= x and below(x, upper):
+            return
+    else:
+        x = np.asarray(x)
+        if ((x >= 0.0) & below(x, upper)).all():
+            return
+    raise ValueError(f"{message}, got {x}")
 
 
 def _scalar_or_array(x):
     """Python float for a 0-d result, the array itself otherwise."""
-    return float(x) if np.ndim(x) == 0 else x
+    return float(x) if isinstance(x, float) or np.ndim(x) == 0 else x
+
+
+def _clip(x, upper):
+    """x clipped into [0, upper]: min/max for a float, np.clip otherwise."""
+    if isinstance(x, float):
+        return min(max(x, 0.0), upper)
+    return np.clip(x, 0.0, upper)
+
+
+def _clip_zero_collinear(x, phi, upper):
+    """x clipped into [0, upper], and exactly 0 where phi is 0 or pi.
+
+    The float value of pi counts as exactly collinear.
+    """
+    if isinstance(x, float):
+        return 0.0 if phi == 0.0 or phi == math.pi else _clip(x, upper)
+    phi = np.asarray(phi)
+    return np.where((phi == 0.0) | (phi == math.pi), 0.0, _clip(x, upper))
 
 
 def _gamma(u):
@@ -73,7 +112,7 @@ def _gamma(u):
 
 def lorentz_gamma(u):
     """Lorentz factor gamma = 1/sqrt(1 - u^2) for a speed u in units of c."""
-    _check_speed(u)
+    _check_range(u, _SPEED)
     return _scalar_or_array(_gamma(u))
 
 
@@ -86,14 +125,16 @@ def speed_factor_d(u, v):
     reported as +inf rather than an error.  gamma - 1 is taken as
     u^2 gamma^2/(gamma + 1), which does not cancel at small speeds.
     """
-    _check_speed(u, "u")
-    _check_speed(v, "v")
+    _check_range(u, _U)
+    _check_range(v, _V)
     gu, gv = _gamma(u), _gamma(v)
     num = (gu + 1.0) * (gv + 1.0)
     den = (np.square(u) * gu * gu / (gu + 1.0)) * (np.square(v) * gv * gv / (gv + 1.0))
+    if isinstance(den, float):
+        # den is 0 for a zero (or underflowing) speed: D = +inf, without np.errstate
+        return math.inf if den == 0.0 else float(np.sqrt(num / den))
     with np.errstate(divide="ignore"):
-        d = np.sqrt(num / den)
-    return _scalar_or_array(d)
+        return np.sqrt(num / den)
 
 
 def wigner_angle_cos_form(u, v, phi):
@@ -112,16 +153,16 @@ def wigner_angle_cos_form(u, v, phi):
     Returns delta in [0, pi]; exactly 0 for u = 0, v = 0, phi = 0 or
     phi = pi (the float value of pi is treated as exactly collinear).
     """
-    _check_speed(u, "u")
-    _check_speed(v, "v")
-    _check_phi(phi)
+    _check_range(u, _U)
+    _check_range(v, _V)
+    _check_range(phi, _PHI)
+    if not (isinstance(u, float) and isinstance(v, float)):
+        v = np.asarray(v)  # u * v must broadcast even for two lists
     gu, gv = _gamma(u), _gamma(v)
-    w = gu * gv * (1.0 + u * np.asarray(v) * np.cos(phi))
+    w = gu * gv * (1.0 + u * v * np.cos(phi))
     den = (gu + 1.0) * (gv + 1.0) * (w + 1.0)
-    sin_half = gu * gv * u * np.asarray(v) * np.sin(phi) / np.sqrt(2.0 * den)
-    delta = 2.0 * np.arcsin(np.clip(sin_half, 0.0, 1.0))
-    delta = np.where((np.asarray(phi) == 0.0) | (np.asarray(phi) == np.pi), 0.0, delta)
-    return _scalar_or_array(delta)
+    sin_half = gu * gv * u * v * np.sin(phi) / np.sqrt(2.0 * den)
+    return _scalar_or_array(2.0 * np.arcsin(_clip_zero_collinear(sin_half, phi, 1.0)))
 
 
 def wigner_angle_tan_form(u, v, phi):
@@ -134,11 +175,10 @@ def wigner_angle_tan_form(u, v, phi):
 
     Returns delta in [0, pi]; exactly 0 for phi = 0 or phi = pi.
     """
-    _check_phi(phi)
+    _check_range(phi, _PHI)
     d = speed_factor_d(u, v)
     delta = 2.0 * np.arctan2(np.sin(phi), np.cos(phi) + d)
-    delta = np.where((np.asarray(phi) == 0.0) | (np.asarray(phi) == np.pi), 0.0, delta)
-    return _scalar_or_array(np.clip(delta, 0.0, np.pi))
+    return _scalar_or_array(_clip_zero_collinear(delta, phi, math.pi))
 
 
 def argmax_boost_angle(u, v):
@@ -150,7 +190,11 @@ def argmax_boost_angle(u, v):
     so no maximum exists; that degenerate case raises ValueError.
     """
     d = speed_factor_d(u, v)  # validates u and v
-    if (np.asarray(u) == 0.0).any() or (np.asarray(v) == 0.0).any():
+    if isinstance(d, float):
+        degenerate = u == 0.0 or v == 0.0
+    else:
+        degenerate = (np.asarray(u) == 0.0).any() or (np.asarray(v) == 0.0).any()
+    if degenerate:
         raise ValueError("no rotation: delta vanishes identically when u = 0 or v = 0")
     return _scalar_or_array(np.arccos(-1.0 / d))
 
@@ -164,11 +208,9 @@ def ultra_relativistic_condition(u, v, phi):
     sin(phi) - cos(phi) <= -D (phi < pi/4), so it must not be applied
     blindly; the unsquared form is used here.
     """
-    _check_phi(phi)
+    _check_range(phi, _PHI)
     cond = np.sin(phi) - np.cos(phi) >= speed_factor_d(u, v)
-    if np.ndim(cond) == 0:
-        return bool(cond)
-    return cond
+    return bool(cond) if cond.ndim == 0 else cond
 
 
 def equal_speed_ultra_threshold(phi: float) -> float:
@@ -179,7 +221,7 @@ def equal_speed_ultra_threshold(phi: float) -> float:
     that range (e.g. perpendicular boosts, phi = pi/2) the threshold is
     reachable only in the light-speed limit and ValueError is raised.
     """
-    _check_phi(phi)
+    _check_range(phi, _PHI)
     target = math.sin(phi) - math.cos(phi)
     if target <= 1.0:
         raise ValueError(
@@ -214,18 +256,21 @@ def boost_matrix(velocity) -> np.ndarray:
     beta = np.asarray(velocity, dtype=float)
     if beta.shape[-1:] != (3,):
         raise ValueError(f"velocity must have 3 components, got shape {beta.shape}")
+    stack = beta.ndim > 1
     b2 = np.einsum("...i,...i->...", beta, beta)
-    if not np.all(b2 < 1.0):  # also catches NaN and inf components
-        if not np.all(np.isfinite(beta)):
+    below = b2 < 1.0  # also fails for NaN and inf components
+    if not (below.all() if stack else below):
+        if not np.isfinite(beta).all():
             raise ValueError(f"velocity must be finite, got {beta}")
         raise ValueError(f"velocity must be sub-luminal, got |v| = {math.sqrt(b2.max())}")
     g = 1.0 / np.sqrt(1.0 - b2)
     mat = np.empty(beta.shape[:-1] + (4, 4))
     mat[..., 0, 0] = g
-    mat[..., 0, 1:] = mat[..., 1:, 0] = -g[..., None] * beta
-    mat[..., 1:, 1:] = (g * g / (g + 1.0))[..., None, None] * (
-        beta[..., :, None] * beta[..., None, :]
-    ) + np.eye(3)
+    scale = g * g / (g + 1.0)
+    if stack:  # one factor per velocity
+        g, scale = g[..., None], scale[..., None, None]
+    mat[..., 0, 1:] = mat[..., 1:, 0] = -g * beta
+    mat[..., 1:, 1:] = scale * (beta[..., :, None] * beta[..., None, :]) + _EYE3
     return mat
 
 
@@ -241,9 +286,12 @@ class BoostComposition(NamedTuple):
     angle: float           # rotation angle in [0, pi], float or (...) array
 
 
+_AXIAL_ROWS, _AXIAL_COLS = np.array([2, 0, 1]), np.array([1, 2, 0])
+
+
 def _axial_vector(r3: np.ndarray) -> np.ndarray:
     """(r32 - r23, r13 - r31, r21 - r12) of (..., 3, 3) matrices, shape (..., 3)."""
-    return (r3 - np.swapaxes(r3, -1, -2))[..., (2, 0, 1), (1, 2, 0)]
+    return (r3 - r3.swapaxes(-1, -2))[..., _AXIAL_ROWS, _AXIAL_COLS]
 
 
 def _norm(vec: np.ndarray) -> np.ndarray:
@@ -283,13 +331,14 @@ def compose_boosts(first, second) -> BoostComposition:
     u_svd, _, vt_svd = np.linalg.svd(raw[..., 1:, 1:])
     # Flip the last singular vector wherever the polished factor would be
     # a reflection (never the case for proper compositions).
-    u_svd[..., :, 2] *= np.copysign(1.0, np.linalg.det(u_svd @ vt_svd))[..., None]
+    sign = np.copysign(1.0, np.linalg.det(u_svd @ vt_svd))
+    u_svd[..., :, 2] *= sign[..., None] if sign.ndim else sign
     spatial = u_svd @ vt_svd
     rotation = np.zeros(spatial.shape[:-2] + (4, 4))
     rotation[..., 0, 0] = 1.0
     rotation[..., 1:, 1:] = spatial
     sin_angle = _norm(_axial_vector(spatial)) / 2.0
-    cos_angle = (np.trace(spatial, axis1=-2, axis2=-1) - 1.0) / 2.0
+    cos_angle = (spatial.trace(axis1=-2, axis2=-1) - 1.0) / 2.0
     angle = _scalar_or_array(np.arctan2(sin_angle, cos_angle))
     return BoostComposition(boost, rotation, angle)
 
@@ -317,15 +366,17 @@ def standard_boost_vectors(u, v, phi) -> tuple[np.ndarray, np.ndarray]:
     rotation is about the y axis.  u, v and phi broadcast together; both
     vector stacks carry their common shape.
     """
-    _check_speed(u, "u")
-    _check_speed(v, "v")
-    _check_phi(phi)
-    u, v, phi = np.broadcast_arrays(
-        np.asarray(u, dtype=float), np.asarray(v, dtype=float), np.asarray(phi, dtype=float)
-    )
-    u_vec = np.zeros(u.shape + (3,))
+    _check_range(u, _U)
+    _check_range(v, _V)
+    _check_range(phi, _PHI)
+    if isinstance(u, float) and isinstance(v, float) and isinstance(phi, float):
+        shape = ()
+    else:
+        u, v, phi = (np.asarray(x, dtype=float) for x in (u, v, phi))
+        shape = np.broadcast_shapes(u.shape, v.shape, phi.shape)
+    u_vec = np.zeros(shape + (3,))
     u_vec[..., 2] = u
-    v_vec = np.zeros(u.shape + (3,))
+    v_vec = np.zeros(shape + (3,))
     v_vec[..., 0] = v * np.sin(phi)
     v_vec[..., 2] = v * np.cos(phi)
     return u_vec, v_vec

@@ -69,8 +69,8 @@ class SpinMomentumState:
 
     def __post_init__(self):
         amp = np.array(self.amplitudes, dtype=complex).reshape(4)
-        norm_sq = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm_sq - 1.0) > _NORM_TOL:
+        norm_sq = float((np.abs(amp) ** 2).sum())
+        if not abs(norm_sq - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"state must be normalized, got |amplitudes|^2 = {norm_sq}")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
@@ -138,7 +138,11 @@ def wigner_rotation_matrix(delta: float, sign: int) -> np.ndarray:
         raise ValueError(f"sign must be +1 (p+ branch) or -1 (p- branch), got {sign}")
     if not 0.0 <= delta <= np.pi:
         raise ValueError(f"delta must lie in [0, pi], got {delta}")
-    c, s = np.cos(delta / 2.0), np.sin(delta / 2.0)
+    return _half_angle_rotation(np.cos(delta / 2.0), np.sin(delta / 2.0), sign)
+
+
+def _half_angle_rotation(c, s, sign: int) -> np.ndarray:
+    """U(sign) from c = cos(delta/2) and s = sin(delta/2)."""
     return np.array([[c, sign * s], [-sign * s, c]])
 
 
@@ -153,9 +157,10 @@ def boost_state(state: SpinMomentumState, delta: float) -> SpinMomentumState:
         raise ValueError("state is already boosted; only a single boost is modeled")
     if not 0.0 <= delta <= np.pi:
         raise ValueError(f"delta must lie in [0, pi], got {delta}")
+    c, s = np.cos(delta / 2.0), np.sin(delta / 2.0)
     out = np.empty(4, dtype=complex)
-    out[:2] = wigner_rotation_matrix(delta, +1) @ state.amplitudes[:2]
-    out[2:] = wigner_rotation_matrix(delta, -1) @ state.amplitudes[2:]
+    out[:2] = _half_angle_rotation(c, s, +1) @ state.amplitudes[:2]
+    out[2:] = _half_angle_rotation(c, s, -1) @ state.amplitudes[2:]
     return SpinMomentumState(
         amplitudes=out,
         frame=Frame.BOOSTED,

@@ -203,6 +203,19 @@ class TestStateType:
         with pytest.raises(ValueError, match="normalized"):
             SpinMomentumState(amplitudes=np.array([1.0, 1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("slot", range(4))
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.nan)])
+    def test_rejects_nan_amplitude(self, slot, bad):
+        """A NaN norm is not within tolerance of 1, directly or from JSON."""
+        amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        amps[slot] = bad
+        with pytest.raises(ValueError, match="^state must be normalized, got .* = nan$"):
+            SpinMomentumState(amplitudes=amps)
+        payload = prepare_state(HelicityClass.EQUAL_PLUS, 0.4).to_json_dict()
+        payload["amplitudes"][slot] = [bad.real, bad.imag]
+        with pytest.raises(ValueError, match="^state must be normalized"):
+            state_from_json_dict(payload)
+
     def test_amplitudes_read_only(self):
         s = prepare_state(HelicityClass.EQUAL_PLUS, 0.4)
         with pytest.raises(ValueError):
