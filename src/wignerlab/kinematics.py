@@ -2,8 +2,11 @@
 
 Two non-collinear pure boosts compose into a pure boost times a spatial
 rotation; this module computes that rotation angle by two closed forms
-and by an independent 4x4 matrix route (compose, then factor the product
-back into boost x rotation).
+and by the matrix route.  The matrix route multiplies the two boosts in
+SL(2,C), as spinor matrices c I + s.sigma with entries of size
+sqrt(gamma), and reads the rotation and the boost factor of the product
+from closed forms of its polar decomposition; ``compose_boosts`` returns
+both as 4x4 Lorentz matrices.
 
 Conventions: c = 1, speeds are dimensionless fractions of the speed of
 light, the boosting angle ``phi`` between the two boost directions lies
@@ -19,7 +22,10 @@ NaN and infinite inputs are rejected with ValueError.  A call whose
 inputs are all Python floats (``np.float64`` included) validates, masks
 and clips with plain Python operations instead of numpy's 0-d array
 machinery, and evaluates the same ufunc expressions as an array call, so
-it returns the same bits as the array call on the same values.
+it returns the same bits as the array call on the same values.  The
+matrix route unpacks a single (3,) velocity into Python floats and takes
+the same arithmetic as on a stack's components; ``math.sqrt`` and
+``np.sqrt`` are both correctly rounded, so the bits agree there too.
 """
 
 from __future__ import annotations
@@ -122,7 +128,8 @@ def speed_factor_d(u, v):
     D >= 1 captures the entire speed dependence of the rotation angle,
     with D -> 1 only in the light-speed limit.  Degenerate speeds
     (u = 0 or v = 0) make the rotation vanish identically; that limit is
-    reported as +inf rather than an error.  gamma - 1 is taken as
+    reported as +inf rather than an error, and so is a speed so small
+    (below ~1e-154) that num/den overflows.  gamma - 1 is taken as
     u^2 gamma^2/(gamma + 1), which does not cancel at small speeds.
     """
     _check_range(u, _U)
@@ -131,9 +138,10 @@ def speed_factor_d(u, v):
     num = (gu + 1.0) * (gv + 1.0)
     den = (np.square(u) * gu * gu / (gu + 1.0)) * (np.square(v) * gv * gv / (gv + 1.0))
     if isinstance(den, float):
-        # den is 0 for a zero (or underflowing) speed: D = +inf, without np.errstate
-        return math.inf if den == 0.0 else float(np.sqrt(num / den))
-    with np.errstate(divide="ignore"):
+        # den is 0 for a zero (or underflowing) speed: D = +inf.  Python
+        # float division overflows to inf silently, without np.errstate.
+        return math.inf if den == 0.0 else math.sqrt(float(num) / float(den))
+    with np.errstate(divide="ignore", over="ignore"):
         return np.sqrt(num / den)
 
 
@@ -246,6 +254,47 @@ def ultra_phi_interval(u: float, v: float) -> tuple[float, float] | None:
     return (math.pi / 4.0 + a, 5.0 * math.pi / 4.0 - a)
 
 
+def _sqrt(x):
+    """math.sqrt for a float, np.sqrt otherwise: both round correctly, so the bits agree."""
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+
+
+def _dot(a, b):
+    """a . b of two component triples (floats or arrays)."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b):
+    """a x b of two component triples (floats or arrays)."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _velocity(velocity):
+    """Validated (..., 3) velocities: the float array, its components and |beta|^2.
+
+    The components of a single (3,) velocity are Python floats (from
+    ``tolist``), those of a stack are arrays over its leading shape; both
+    take the same arithmetic, so they agree to the bit.
+    """
+    beta = np.asarray(velocity, dtype=float)
+    if beta.shape[-1:] != (3,):
+        raise ValueError(f"velocity must have 3 components, got shape {beta.shape}")
+    if beta.ndim == 1:
+        comps = beta.tolist()
+        b2 = _dot(comps, comps)
+        below = b2 < 1.0  # also fails for NaN and inf components
+    else:
+        comps = tuple(np.moveaxis(beta, -1, 0))
+        with np.errstate(over="ignore"):  # a huge component squares to inf
+            b2 = _dot(comps, comps)
+        below = (b2 < 1.0).all()
+    if not below:
+        if not np.isfinite(beta).all():
+            raise ValueError(f"velocity must be finite, got {beta}")
+        raise ValueError(f"velocity must be sub-luminal, got |v| = {math.sqrt(np.max(b2))}")
+    return beta, comps, b2
+
+
 def boost_matrix(velocity) -> np.ndarray:
     """Pure Lorentz boosts (..., 4, 4), symmetric, for (..., 3) velocities in units of c.
 
@@ -253,25 +302,46 @@ def boost_matrix(velocity) -> np.ndarray:
     equals the textbook (gamma - 1)/beta^2 form without its cancellation
     at small speeds, and gives the identity exactly at zero velocity.
     """
-    beta = np.asarray(velocity, dtype=float)
-    if beta.shape[-1:] != (3,):
-        raise ValueError(f"velocity must have 3 components, got shape {beta.shape}")
-    stack = beta.ndim > 1
-    b2 = np.einsum("...i,...i->...", beta, beta)
-    below = b2 < 1.0  # also fails for NaN and inf components
-    if not (below.all() if stack else below):
-        if not np.isfinite(beta).all():
-            raise ValueError(f"velocity must be finite, got {beta}")
-        raise ValueError(f"velocity must be sub-luminal, got |v| = {math.sqrt(b2.max())}")
+    beta, _, b2 = _velocity(velocity)
     g = 1.0 / np.sqrt(1.0 - b2)
     mat = np.empty(beta.shape[:-1] + (4, 4))
     mat[..., 0, 0] = g
     scale = g * g / (g + 1.0)
-    if stack:  # one factor per velocity
+    if beta.ndim > 1:  # one factor per velocity
         g, scale = g[..., None], scale[..., None, None]
     mat[..., 0, 1:] = mat[..., 1:, 0] = -g * beta
     mat[..., 1:, 1:] = scale * (beta[..., :, None] * beta[..., None, :]) + _EYE3
     return mat
+
+
+def _spinor_boost(velocity):
+    """(c, s) of the SL(2,C) boosts c I + s.sigma for (..., 3) velocities."""
+    _, beta, b2 = _velocity(velocity)
+    g = 1.0 / _sqrt(1.0 - b2)
+    k = g / _sqrt(2.0 * (g + 1.0))
+    return _sqrt((g + 1.0) / 2.0), [k * b for b in beta]
+
+
+def _spinor_product(first, second):
+    """(a0, p, q) of the SL(2,C) product A(second) A(first) = a0 I + (p + i q).sigma.
+
+    A boost is A = c I + s.sigma with c = cosh(rho/2) = sqrt((gamma+1)/2)
+    and s = sinh(rho/2) n = gamma beta / sqrt(2 (gamma+1)): entries of
+    size sqrt(gamma), and no cancellation at small speeds.  The product
+    has a0 = c1 c2 + s1.s2, p = c1 s2 + c2 s1 and q = s2 x s1; p.q = 0
+    and a0^2 + |q|^2 - |p|^2 = det = 1.
+    """
+    (c1, s1), (c2, s2) = _spinor_boost(first), _spinor_boost(second)
+    p = tuple(c1 * b + c2 * a for a, b in zip(s1, s2))
+    return c1 * c2 + _dot(s1, s2), p, _cross(s2, s1)
+
+
+def _rotation_angle(a0, qq):
+    """delta = 2 atan2(|q|, a0), from a0 and |q|^2 of the spinor product.
+
+    a0 > 0, so delta lies in [0, pi); no large numbers are subtracted.
+    """
+    return _scalar_or_array(2.0 * np.arctan2(_sqrt(qq), a0))
 
 
 class BoostComposition(NamedTuple):
@@ -302,45 +372,47 @@ def _norm(vec: np.ndarray) -> np.ndarray:
 def compose_boosts(first, second) -> BoostComposition:
     """Compose two pure boosts and factor the product as boost x rotation.
 
-    ``first`` is applied first: the product matrix is
-    B(second) @ B(first).  The factorization is the unique one with the
-    rotation fixing the time axis: the pure-boost factor shares the
-    product's first column (R e0 = e0 implies B e0 = L e0), so its
-    velocity is read off as w = -L[1:, 0] / L[0, 0] and the rotation is
-    R = B(w)^-1 L.  The inverse is B(-w), formed exactly by negating the
-    time-space entries of B(w), so no linear solve can fail on the
-    gamma^2-conditioned boost at extreme speeds.  R is polished to the
-    nearest exact orthogonal matrix (the raw product carries the
-    gamma^2-amplified rounding, which would otherwise break the metric
-    invariant at high speeds).  The angle comes from atan2 of the
-    antisymmetric part against the trace; the trace alone loses half the
-    significant digits near the identity.
+    ``first`` is applied first: the product is B(second) @ B(first).
+    The composition runs in SL(2,C), where the product of the two spinor
+    boosts is A = a0 I + (p + i q).sigma (``_spinor_product``).  Its
+    polar factors are read off in closed form: the unitary one is the
+    unit quaternion (a0, q)/N, N = sqrt(a0^2 + |q|^2), and the Hermitian
+    one is N I + m.sigma with m = (a0 p + p x q)/N.  In 4x4 form,
+
+        boost    = [[1 + 2|m|^2, -2N m^T], [-2N m, I + 2 m m^T]],
+        rotation = 1 (+) ((w^2 - |r|^2) I + 2 r r^T - 2 w [r]x),
+
+    with w = a0/N and r = q/N, and the angle is 2 atan2(|q|, a0).  The
+    spinor entries have size sqrt(gamma), so no composed speed is formed
+    that could round to 1, and nothing is inverted or decomposed.
 
     Velocities may be (..., 3) stacks that broadcast against each other;
     every composition in the stack is factored in one pass.  Collinear
     inputs give the identity rotation and angle 0.  Exchanging the
     arguments keeps the angle and reverses the rotation axis.
     """
-    lam = boost_matrix(second) @ boost_matrix(first)
-    w = -lam[..., 1:, 0] / lam[..., :1, 0]
-    boost = boost_matrix(w)
-    inverse = boost.copy()
-    inverse[..., 0, 1:] *= -1.0
-    inverse[..., 1:, 0] *= -1.0
-    raw = inverse @ lam
-    u_svd, _, vt_svd = np.linalg.svd(raw[..., 1:, 1:])
-    # Flip the last singular vector wherever the polished factor would be
-    # a reflection (never the case for proper compositions).
-    sign = np.copysign(1.0, np.linalg.det(u_svd @ vt_svd))
-    u_svd[..., :, 2] *= sign[..., None] if sign.ndim else sign
-    spatial = u_svd @ vt_svd
-    rotation = np.zeros(spatial.shape[:-2] + (4, 4))
+    a0, p, q = _spinor_product(first, second)
+    qq = _dot(q, q)
+    n = _sqrt(a0 * a0 + qq)
+    m = [(a0 * pk + ck) / n for pk, ck in zip(p, _cross(p, q))]
+    w = a0 / n
+    boost = np.empty(np.shape(a0) + (4, 4))
+    boost[..., 0, 0] = 1.0 + 2.0 * _dot(m, m)
+    m = np.stack(m, axis=-1)
+    boost[..., 0, 1:] = boost[..., 1:, 0] = -2.0 * np.expand_dims(n, -1) * m
+    boost[..., 1:, 1:] = 2.0 * (m[..., :, None] * m[..., None, :]) + _EYE3
+    r = [qk / n for qk in q]
+    cos_angle = w * w - _dot(r, r)
+    r = np.stack(r, axis=-1)
+    wr = 2.0 * np.expand_dims(w, -1) * r
+    rotation = np.zeros_like(boost)
     rotation[..., 0, 0] = 1.0
+    spatial = 2.0 * (r[..., :, None] * r[..., None, :])
+    spatial += np.expand_dims(cos_angle, (-2, -1)) * _EYE3
+    spatial[..., _AXIAL_ROWS, _AXIAL_COLS] -= wr
+    spatial[..., _AXIAL_COLS, _AXIAL_ROWS] += wr
     rotation[..., 1:, 1:] = spatial
-    sin_angle = _norm(_axial_vector(spatial)) / 2.0
-    cos_angle = (spatial.trace(axis1=-2, axis2=-1) - 1.0) / 2.0
-    angle = _scalar_or_array(np.arctan2(sin_angle, cos_angle))
-    return BoostComposition(boost, rotation, angle)
+    return BoostComposition(boost, rotation, _rotation_angle(a0, qq))
 
 
 def rotation_axis(rotation: np.ndarray) -> np.ndarray:
@@ -383,13 +455,14 @@ def standard_boost_vectors(u, v, phi) -> tuple[np.ndarray, np.ndarray]:
 
 
 def wigner_angle_matrix_form(u, v, phi):
-    """Rotation angle via explicit 4x4 composition in the standard geometry.
+    """Rotation angle of the boost composition in the standard geometry.
 
-    Independent of both closed forms: builds the two boost matrices,
-    multiplies them and extracts the rotation angle of the product's
-    rotation factor.  Broadcasts over u, v and phi like the closed forms.
+    Composes the two boost vectors in SL(2,C), as ``compose_boosts``
+    does, and takes only the angle, without forming a 4x4 matrix.
+    Broadcasts over u, v and phi like the closed forms.
     """
-    return compose_boosts(*standard_boost_vectors(u, v, phi)).angle
+    a0, _, q = _spinor_product(*standard_boost_vectors(u, v, phi))
+    return _rotation_angle(a0, _dot(q, q))
 
 
 def lorentz_defect(mat: np.ndarray):

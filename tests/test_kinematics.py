@@ -2,13 +2,15 @@
 
 Expected values are frozen from independent routes: gamma against the
 time-time entry of an explicitly constructed boost matrix, the D factor
-against the equal-speed form (gamma+1)/(gamma-1), and every closed-form
-angle against the 4x4 matrix composition.
+against the equal-speed form (gamma+1)/(gamma-1), every closed-form
+angle against the matrix composition, and the matrix route against a
+50-digit mpmath reference up to u = v = 1 - 1e-12.
 """
 
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -371,6 +373,13 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="finite"):
             kin.compose_boosts([0.0, 0.0, 0.5], [0.1, bad, 0.0])
 
+    def test_huge_component_in_a_stack_is_sub_luminal(self):
+        # |beta|^2 overflows to inf, which is a velocity error, not a warning
+        huge = [[0.0, 0.0, 0.5], [1e200, 0.0, 0.0]]
+        for call in (lambda: kin.boost_matrix(huge), lambda: kin.compose_boosts(huge, huge)):
+            with pytest.raises(ValueError, match="sub-luminal"):
+                call()
+
 
 class TestMatrixRouteRange:
     def test_low_speed_matches_tan_form(self):
@@ -382,22 +391,51 @@ class TestMatrixRouteRange:
                     closed, rel=1e-12, abs=0.0
                 )
 
-    def test_beyond_float_range_raises_sub_luminal(self):
-        # At u = v = 1 - 1e-8 the composed speed rounds to 1 for some phi;
-        # that is reported as the velocity error, never a linear-algebra one.
-        u = 1.0 - 1e-8
-        raised = 0
-        for phi in np.linspace(0.05, math.pi - 0.05, 60):
-            try:
+    def test_near_light_speed_never_raises_and_matches_mpmath(self):
+        # The spinor composition forms no composed speed that could round
+        # to 1, so no angle raises up to u = v = 1 - 1e-12.
+        for k in range(8, 13):
+            u = 1.0 - 10.0**-k
+            for phi in np.linspace(0.05, math.pi - 0.05, 60).tolist():
                 angle = kin.wigner_angle_matrix_form(u, u, phi)
-            except np.linalg.LinAlgError:
-                pytest.fail(f"LinAlgError at phi = {phi}")
-            except ValueError as exc:
-                assert "sub-luminal" in str(exc)
-                raised += 1
-            else:
-                assert 0.0 <= angle <= math.pi
-        assert raised > 0
+                assert _relative_error(angle, u, u, phi) < 1e-9, (u, phi)
+
+    @pytest.mark.parametrize(
+        "u, bound",
+        [(1e-8, 1e-14), (1e-4, 1e-14), (0.5, 1e-14), (1.0 - 1e-2, 1e-14),
+         (1.0 - 1e-4, 1e-12), (1.0 - 1e-6, 1e-12)],
+    )
+    def test_relative_error_against_mpmath(self, u, bound):
+        for phi in np.linspace(0.05, math.pi - 0.05, 60).tolist():
+            angle = kin.wigner_angle_matrix_form(u, u, phi)
+            assert _relative_error(angle, u, u, phi) < bound, phi
+
+
+def _relative_error(angle, u, v, phi):
+    """|angle - delta| / delta against 50-digit tan(delta/2) = sin phi/(cos phi + D).
+
+    The reference is evaluated at the exact float values of u, v and phi.
+    """
+    with mpmath.workdps(50):
+        u, v, phi = mpmath.mpf(u), mpmath.mpf(v), mpmath.mpf(phi)
+        gu, gv = 1 / mpmath.sqrt(1 - u * u), 1 / mpmath.sqrt(1 - v * v)
+        d = mpmath.sqrt((gu + 1) * (gv + 1) / ((gu - 1) * (gv - 1)))
+        delta = 2 * mpmath.atan2(mpmath.sin(phi), mpmath.cos(phi) + d)
+        return float(abs((angle - delta) / delta))
+
+
+class TestTinySpeed:
+    # D = sqrt(num/den) with den ~ u^2 v^2 / 4: num/den overflows for
+    # u ~ 1e-160 before the square root, which must give +inf silently.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("wrap", [float, lambda x: np.array([x])], ids=["float", "array"])
+    def test_no_overflow_warning(self, wrap):
+        u, v = wrap(1e-160), wrap(0.3)
+        assert np.all(kin.speed_factor_d(u, v) == math.inf)
+        assert np.all(kin.speed_factor_d(v, u) == math.inf)
+        assert np.all(kin.wigner_angle_tan_form(u, v, wrap(1.0)) == 0.0)
+        assert np.all(kin.argmax_boost_angle(u, v) == math.pi / 2)
+        assert not np.any(kin.ultra_relativistic_condition(u, v, wrap(2.0)))
 
 
 class TestStacks:
