@@ -436,7 +436,8 @@ def standard_boost_vectors(u, v, phi) -> tuple[np.ndarray, np.ndarray]:
     The particle boost u points along +z and the observer boost v lies
     in the x-z plane at angle phi from the z axis, so the induced
     rotation is about the y axis.  u, v and phi broadcast together; both
-    vector stacks carry their common shape.
+    vector stacks carry their common shape.  The float value of pi counts
+    as exactly collinear: there the x component is exactly 0.
     """
     _check_range(u, _U)
     _check_range(v, _V)
@@ -449,7 +450,7 @@ def standard_boost_vectors(u, v, phi) -> tuple[np.ndarray, np.ndarray]:
     u_vec = np.zeros(shape + (3,))
     u_vec[..., 2] = u
     v_vec = np.zeros(shape + (3,))
-    v_vec[..., 0] = v * np.sin(phi)
+    v_vec[..., 0] = _clip_zero_collinear(v * np.sin(phi), phi, 1.0)
     v_vec[..., 2] = v * np.cos(phi)
     return u_vec, v_vec
 
@@ -459,7 +460,9 @@ def wigner_angle_matrix_form(u, v, phi):
 
     Composes the two boost vectors in SL(2,C), as ``compose_boosts``
     does, and takes only the angle, without forming a 4x4 matrix.
-    Broadcasts over u, v and phi like the closed forms.
+    Broadcasts over u, v and phi like the closed forms, and like them
+    returns exactly 0 for u = 0, v = 0, phi = 0 or phi = pi (the float
+    value of pi is treated as exactly collinear).
     """
     a0, _, q = _spinor_product(*standard_boost_vectors(u, v, phi))
     return _rotation_angle(a0, _dot(q, q))

@@ -1,9 +1,11 @@
 """Executable verification suite for every library invariant.
 
-Each check evaluates one invariant on a grid (sized from a single
-``grid`` knob), records the worst observed violation, and passes iff
-that violation is within tolerance.  Checks are deterministic: random
-samples come from a fixed-seed generator.
+Each check evaluates one or more invariants on a grid (sized from a
+single ``grid`` knob) and returns one ``(name, grid label, worst
+violation)`` row per invariant.  :func:`run_all` runs the checks listed
+in ``_CHECKS`` and attaches each row's tolerance: a row passes iff its
+violation is within tolerance.  Checks are deterministic: random samples
+come from one fixed-seed generator, drawn in ``_CHECKS`` order.
 
 Intended use: ``wignerlab verify --grid 50`` (exit code 2 on any
 failure), or :func:`run_all` directly.
@@ -12,6 +14,7 @@ failure), or :func:`run_all` directly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,10 @@ __all__ = ["CheckResult", "DEFAULT_TOLERANCES", "format_report", "run_all"]
 
 _SEED = 20240801
 
+#: Samples of the phi grid on which ``argmax_matches_grid_search``
+#: locates the maximum rotation; its tolerance is one step of that grid.
+_ARGMAX_SAMPLES = 10_000
+
 DEFAULT_TOLERANCES = {
     "angle_forms_agree": 1e-10,
     "angle_forms_agree_high_speed": 1e-6,
@@ -36,7 +43,7 @@ DEFAULT_TOLERANCES = {
     "lorentz_invariance_scaled": 1e-14,
     "angle_concave_in_phi": 1e-6,
     "ultra_condition_matches_angle": 0.0,
-    "argmax_matches_grid_search": None,  # one grid step, set per run
+    "argmax_matches_grid_search": math.pi / (_ARGMAX_SAMPLES - 1),
     "state_norms_preserved": 1e-12,
     "boost_at_zero_is_identity": 0.0,
     "boosted_equal_helicity_amplitudes": 1e-12,
@@ -66,66 +73,40 @@ class CheckResult:
     passed: bool
 
 
-def _result(name: str, grid: str, violation: float, tol: float) -> CheckResult:
-    return CheckResult(
-        name=name,
-        grid=grid,
-        max_violation=float(violation),
-        tolerance=float(tol),
-        passed=bool(violation <= tol),
-    )
-
-
 def _angle_grid(n: int, lo: float = 0.01, hi: float = 0.99):
     speeds = np.linspace(lo, hi, n)
     phis = np.linspace(0.0, math.pi, n)
     return np.meshgrid(speeds, speeds, phis, indexing="ij")
 
 
-def _check_angle_forms(n: int, tols: dict) -> list[CheckResult]:
+def _check_angle_forms(n: int, rng) -> list[tuple]:
     u, v, p = _angle_grid(n)
     d_cos = kin.wigner_angle_cos_form(u, v, p)
     d_tan = kin.wigner_angle_tan_form(u, v, p)
-    out = [
-        _result(
-            "angle_forms_agree",
-            f"{n}x{n}x{n}",
-            np.abs(d_cos - d_tan).max(),
-            tols["angle_forms_agree"],
-        )
-    ]
     mism = np.count_nonzero(
         kin.ultra_relativistic_condition(u, v, p) != (d_tan >= math.pi / 2.0)
     )
-    out.append(
-        _result(
-            "ultra_condition_matches_angle",
-            f"{n}x{n}x{n}",
-            mism,
-            tols["ultra_condition_matches_angle"],
-        )
-    )
     m = min(n, 30)
     uh, vh, ph = _angle_grid(m, 0.9, 0.9999)
-    out.append(
-        _result(
-            "angle_forms_agree_high_speed",
-            f"{m}x{m}x{m} (u,v in [0.9, 0.9999])",
-            np.abs(
-                kin.wigner_angle_cos_form(uh, vh, ph)
-                - kin.wigner_angle_tan_form(uh, vh, ph)
-            ).max(),
-            tols["angle_forms_agree_high_speed"],
-        )
-    )
-    return out
+    high = np.abs(
+        kin.wigner_angle_cos_form(uh, vh, ph) - kin.wigner_angle_tan_form(uh, vh, ph)
+    ).max()
+    return [
+        ("angle_forms_agree", f"{n}x{n}x{n}", np.abs(d_cos - d_tan).max()),
+        ("ultra_condition_matches_angle", f"{n}x{n}x{n}", mism),
+        ("angle_forms_agree_high_speed", f"{m}x{m}x{m} (u,v in [0.9, 0.9999])", high),
+    ]
 
 
-def _check_degenerate_zero(n: int, tols: dict) -> CheckResult:
+def _check_degenerate_zero(n: int, rng) -> list[tuple]:
     speeds = np.linspace(0.0, 0.99, n)
     phis = np.linspace(0.0, math.pi, n)
     worst = 0.0
-    for form in (kin.wigner_angle_cos_form, kin.wigner_angle_tan_form):
+    for form in (
+        kin.wigner_angle_cos_form,
+        kin.wigner_angle_tan_form,
+        kin.wigner_angle_matrix_form,
+    ):
         worst = max(
             worst,
             np.abs(form(0.0, speeds[None, :], phis[:, None])).max(),
@@ -133,15 +114,10 @@ def _check_degenerate_zero(n: int, tols: dict) -> CheckResult:
             np.abs(form(speeds[:, None], speeds[None, :], 0.0)).max(),
             np.abs(form(speeds[:, None], speeds[None, :], math.pi)).max(),
         )
-    return _result(
-        "angle_zero_when_degenerate_or_collinear",
-        f"4 slices of {n}x{n}",
-        worst,
-        tols["angle_zero_when_degenerate_or_collinear"],
-    )
+    return [("angle_zero_when_degenerate_or_collinear", f"4 slices of {n}x{n}", worst)]
 
 
-def _check_matrix_oracle(n: int, tols: dict) -> list[CheckResult]:
+def _check_matrix_oracle(n: int, rng) -> list[tuple]:
     m = min(n, 20)
     speeds = np.linspace(0.01, 0.99, m)
     phis = np.linspace(0.0, math.pi, m)
@@ -163,26 +139,14 @@ def _check_matrix_oracle(n: int, tols: dict) -> list[CheckResult]:
     worst_axis = axis_error[angle > 1e-6].max(initial=0.0)
     grid = f"{m}x{m}x{m}"
     return [
-        _result("matrix_oracle_agrees", grid, worst_angle, tols["matrix_oracle_agrees"]),
-        _result(
-            "matrix_oracle_axis_is_y", grid, worst_axis, tols["matrix_oracle_axis_is_y"]
-        ),
-        _result(
-            "lorentz_invariance",
-            f"{grid} (u,v <= 0.95)",
-            worst_abs,
-            tols["lorentz_invariance"],
-        ),
-        _result(
-            "lorentz_invariance_scaled",
-            f"{grid} (defect/|mat|_F^2)",
-            worst_scaled,
-            tols["lorentz_invariance_scaled"],
-        ),
+        ("matrix_oracle_agrees", grid, worst_angle),
+        ("matrix_oracle_axis_is_y", grid, worst_axis),
+        ("lorentz_invariance", f"{grid} (u,v <= 0.95)", worst_abs),
+        ("lorentz_invariance_scaled", f"{grid} (defect/|mat|_F^2)", worst_scaled),
     ]
 
 
-def _check_concavity(n: int, tols: dict, rng) -> CheckResult:
+def _check_concavity(n: int, rng) -> list[tuple]:
     pairs = [(0.95, 0.95), (0.995, 0.995)]
     pairs += [tuple(rng.uniform(0.05, 0.99, 2)) for _ in range(min(n, 10))]
     phis = np.linspace(0.0, math.pi, 2001)
@@ -192,39 +156,23 @@ def _check_concavity(n: int, tols: dict, rng) -> CheckResult:
         d = np.asarray(kin.wigner_angle_tan_form(u, v, phis))
         second = (d[2:] - 2.0 * d[1:-1] + d[:-2]) / (h * h)
         worst = max(worst, float(second.max()))
-    return _result(
-        "angle_concave_in_phi",
-        f"{len(pairs)} speed pairs x 2001",
-        max(worst, 0.0),
-        tols["angle_concave_in_phi"],
-    )
+    return [("angle_concave_in_phi", f"{len(pairs)} speed pairs x 2001", max(worst, 0.0))]
 
 
-def _check_argmax(n: int, tols: dict, rng) -> CheckResult:
-    samples = 10_000
-    phis = np.linspace(0.0, math.pi, samples)
-    step = phis[1] - phis[0]
+def _check_argmax(n: int, rng) -> list[tuple]:
+    phis = np.linspace(0.0, math.pi, _ARGMAX_SAMPLES)
     worst = 0.0
     for _ in range(20):
         u, v = rng.uniform(0.1, 0.995, 2)
         grid_argmax = phis[np.argmax(kin.wigner_angle_tan_form(u, v, phis))]
         worst = max(worst, abs(grid_argmax - kin.argmax_boost_angle(u, v)))
-    return _result(
-        "argmax_matches_grid_search",
-        f"20 speed pairs x {samples}",
-        worst,
-        tols["argmax_matches_grid_search"] or step,
-    )
+    return [("argmax_matches_grid_search", f"20 speed pairs x {_ARGMAX_SAMPLES}", worst)]
 
 
-_ALL_CLASSES = (
-    HelicityClass.EQUAL_PLUS,
-    HelicityClass.EQUAL_MINUS,
-    HelicityClass.UNEQUAL,
-)
+_ALL_CLASSES = tuple(HelicityClass)  # EQUAL_PLUS, EQUAL_MINUS, UNEQUAL
 
 
-def _check_states(n: int, tols: dict, rng) -> list[CheckResult]:
+def _check_states(n: int, rng) -> list[tuple]:
     draws = max(100, 2 * n)
     worst_norm = worst_identity = worst_regression = 0.0
     worst_local = worst_controlled = worst_equal_entropy = 0.0
@@ -286,41 +234,16 @@ def _check_states(n: int, tols: dict, rng) -> list[CheckResult]:
         )
     grid = f"{draws} random (class, eta, delta)"
     return [
-        _result("state_norms_preserved", grid, worst_norm, tols["state_norms_preserved"]),
-        _result(
-            "boost_at_zero_is_identity",
-            grid,
-            worst_identity,
-            tols["boost_at_zero_is_identity"],
-        ),
-        _result(
-            "boosted_equal_helicity_amplitudes",
-            grid,
-            worst_regression,
-            tols["boosted_equal_helicity_amplitudes"],
-        ),
-        _result(
-            "local_unitary_maps_psi_to_psitilde",
-            grid,
-            worst_local,
-            tols["local_unitary_maps_psi_to_psitilde"],
-        ),
-        _result(
-            "controlled_u_maps_psi_to_xi",
-            grid,
-            worst_controlled,
-            tols["controlled_u_maps_psi_to_xi"],
-        ),
-        _result(
-            "equal_helicity_entropies_match",
-            grid,
-            worst_equal_entropy,
-            tols["equal_helicity_entropies_match"],
-        ),
+        ("state_norms_preserved", grid, worst_norm),
+        ("boost_at_zero_is_identity", grid, worst_identity),
+        ("boosted_equal_helicity_amplitudes", grid, worst_regression),
+        ("local_unitary_maps_psi_to_psitilde", grid, worst_local),
+        ("controlled_u_maps_psi_to_xi", grid, worst_controlled),
+        ("equal_helicity_entropies_match", grid, worst_equal_entropy),
     ]
 
 
-def _check_entropy_oracle(n: int, tols: dict, rng) -> list[CheckResult]:
+def _check_entropy_oracle(n: int, rng) -> list[tuple]:
     draws = max(1000, 10 * n)
     worst_oracle = worst_subsystem = 0.0
     for _ in range(draws):
@@ -337,22 +260,12 @@ def _check_entropy_oracle(n: int, tols: dict, rng) -> list[CheckResult]:
         worst_subsystem = max(worst_subsystem, abs(e_spin - e_mom))
     grid = f"{draws} random (class, eta, delta)"
     return [
-        _result(
-            "entropy_oracle_equivalence",
-            grid,
-            worst_oracle,
-            tols["entropy_oracle_equivalence"],
-        ),
-        _result(
-            "subsystem_entropies_match",
-            grid,
-            worst_subsystem,
-            tols["subsystem_entropies_match"],
-        ),
+        ("entropy_oracle_equivalence", grid, worst_oracle),
+        ("subsystem_entropies_match", grid, worst_subsystem),
     ]
 
 
-def _check_entropy_analytics(n: int, tols: dict) -> list[CheckResult]:
+def _check_entropy_analytics(n: int, rng) -> list[tuple]:
     m = min(n, 50)
     etas = np.linspace(0.013, 2.0 * math.pi - 0.013, m)[:, None]
     lo = np.linspace(1e-4, math.pi / 2.0 - 1e-4, 200)[None, :]
@@ -368,14 +281,6 @@ def _check_entropy_analytics(n: int, tols: dict) -> list[CheckResult]:
             float((sign_lo * np.diff(e_lo, axis=1) * -1.0).max()),
             float((sign_lo * np.diff(e_hi, axis=1)).max()),
         )
-    results = [
-        _result(
-            "entropy_monotone_regimes",
-            f"{m} eta x 2x200 delta, both classes",
-            max(worst_mono, 0.0),
-            tols["entropy_monotone_regimes"],
-        )
-    ]
 
     # analytic derivative vs central finite differences
     deltas = np.concatenate([lo.ravel(), hi.ravel()])[None, :]
@@ -386,15 +291,7 @@ def _check_entropy_analytics(n: int, tols: dict) -> list[CheckResult]:
             etas, deltas - step, HelicityClass.EQUAL_PLUS
         )
     ) / (2.0 * step)
-    analytic = ent.boosted_entropy_derivative(etas, deltas)
-    results.append(
-        _result(
-            "entropy_derivative_matches_fd",
-            f"{m} eta x 400 delta",
-            float(np.abs(analytic - fd).max()),
-            tols["entropy_derivative_matches_fd"],
-        )
-    )
+    worst_fd = np.abs(ent.boosted_entropy_derivative(etas, deltas) - fd).max()
 
     # duality: equal(eta, delta) == unequal(eta, pi/2 - delta) on [0, pi/2]
     d_half = np.linspace(0.0, math.pi / 2.0, 200)[None, :]
@@ -402,14 +299,6 @@ def _check_entropy_analytics(n: int, tols: dict) -> list[CheckResult]:
         ent.boosted_entropy_closed_form(etas, d_half, HelicityClass.EQUAL_PLUS)
         - ent.boosted_entropy_closed_form(
             etas, math.pi / 2.0 - d_half, HelicityClass.UNEQUAL
-        )
-    )
-    results.append(
-        _result(
-            "entropy_duality_sin_cos",
-            f"{m} eta x 200 delta",
-            float(dual.max()),
-            tols["entropy_duality_sin_cos"],
         )
     )
 
@@ -426,14 +315,6 @@ def _check_entropy_analytics(n: int, tols: dict) -> list[CheckResult]:
                 ).max()
             ),
         )
-    results.append(
-        _result(
-            "entropy_reflection_symmetry",
-            f"{m} eta x 200 delta, both classes",
-            worst_reflect,
-            tols["entropy_reflection_symmetry"],
-        )
-    )
 
     # lower bound on the entanglement difference, 200x200, both classes
     eta_grid = np.linspace(0.0, 2.0 * math.pi, 200)[:, None]
@@ -441,18 +322,28 @@ def _check_entropy_analytics(n: int, tols: dict) -> list[CheckResult]:
     for cls in (HelicityClass.EQUAL_PLUS, HelicityClass.UNEQUAL):
         difference, bound = ent.entanglement_difference_bound(eta_grid, d_full, cls)
         worst_bound = max(worst_bound, float((bound - difference).max()))
-    results.append(
-        _result(
+    return [
+        (
+            "entropy_monotone_regimes",
+            f"{m} eta x 2x200 delta, both classes",
+            max(worst_mono, 0.0),
+        ),
+        ("entropy_derivative_matches_fd", f"{m} eta x 400 delta", float(worst_fd)),
+        ("entropy_duality_sin_cos", f"{m} eta x 200 delta", float(dual.max())),
+        (
+            "entropy_reflection_symmetry",
+            f"{m} eta x 200 delta, both classes",
+            worst_reflect,
+        ),
+        (
             "entanglement_bound_holds",
             "200x200 (eta, delta), both classes",
             max(worst_bound, 0.0),
-            tols["entanglement_bound_holds"],
-        )
-    )
-    return results
+        ),
+    ]
 
 
-def _check_sweeps(n: int, tols: dict) -> list[CheckResult]:
+def _check_sweeps(n: int, rng) -> list[tuple]:
     requests = [
         sw.SweepRequest(0.95, 0.95, 0.6, HelicityClass.EQUAL_PLUS),
         sw.SweepRequest(0.995, 0.995, 0.6, HelicityClass.EQUAL_PLUS),
@@ -488,32 +379,36 @@ def _check_sweeps(n: int, tols: dict) -> list[CheckResult]:
                 )
     grid = f"{len(requests)} sweeps x {requests[0].samples}"
     return [
-        _result("sweep_rows_consistent", grid, worst_rows, tols["sweep_rows_consistent"]),
-        _result(
-            "sweep_entropy_within_bounds",
-            grid,
-            worst_bounds,
-            tols["sweep_entropy_within_bounds"],
-        ),
-        _result(
-            "extremum_at_max_rotation",
-            grid,
-            worst_extremum,
-            tols["extremum_at_max_rotation"],
-        ),
-        _result(
-            "extremum_regime_consistent",
-            grid,
-            regime_mismatches,
-            tols["extremum_regime_consistent"],
-        ),
+        ("sweep_rows_consistent", grid, worst_rows),
+        ("sweep_entropy_within_bounds", grid, worst_bounds),
+        ("extremum_at_max_rotation", grid, worst_extremum),
+        ("extremum_regime_consistent", grid, regime_mismatches),
     ]
+
+
+#: Every check, in report order.  Each takes (grid, rng); the ones that
+#: draw from rng draw in this order, so reordering changes their samples.
+_CHECKS = (
+    _check_angle_forms,
+    _check_degenerate_zero,
+    _check_matrix_oracle,
+    _check_concavity,
+    _check_argmax,
+    _check_states,
+    _check_entropy_oracle,
+    _check_entropy_analytics,
+    _check_sweeps,
+)
 
 
 def run_all(grid: int = 50, tolerances: dict | None = None) -> list[CheckResult]:
     """Run every check; ``tolerances`` overrides defaults by check name."""
-    if grid < 3:
-        raise ValueError(f"grid must be >= 3, got {grid}")
+    try:
+        ok = operator.index(grid) >= 3
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"grid must be an integer >= 3, got {grid}")
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(tols)
@@ -521,17 +416,17 @@ def run_all(grid: int = 50, tolerances: dict | None = None) -> list[CheckResult]
             raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
         tols.update(tolerances)
     rng = np.random.default_rng(_SEED)
-    results: list[CheckResult] = []
-    results += _check_angle_forms(grid, tols)
-    results.append(_check_degenerate_zero(grid, tols))
-    results += _check_matrix_oracle(grid, tols)
-    results.append(_check_concavity(grid, tols, rng))
-    results.append(_check_argmax(grid, tols, rng))
-    results += _check_states(grid, tols, rng)
-    results += _check_entropy_oracle(grid, tols, rng)
-    results += _check_entropy_analytics(grid, tols)
-    results += _check_sweeps(grid, tols)
-    return results
+    return [
+        CheckResult(
+            name=name,
+            grid=label,
+            max_violation=float(worst),
+            tolerance=float(tols[name]),
+            passed=bool(worst <= tols[name]),
+        )
+        for check in _CHECKS
+        for name, label, worst in check(grid, rng)
+    ]
 
 
 def format_report(results: list[CheckResult]) -> str:

@@ -232,6 +232,19 @@ class TestVerifyCommand:
         assert code == EXIT_VERIFY_FAILED
         assert "FAIL" in out
 
+    def test_zero_argmax_tolerance_is_applied(self, capsys):
+        code, out, _ = _run(
+            capsys, "verify", "--grid", "8", "--tol", "argmax_matches_grid_search=0"
+        )
+        assert code == EXIT_VERIFY_FAILED
+        (line,) = [x for x in out.splitlines() if "argmax_matches_grid_search" in x]
+        assert line.startswith("FAIL") and "tol=0.000e+00" in line
+
+    def test_grid_below_three_is_usage_error(self, capsys):
+        code, out, err = _run(capsys, "verify", "--grid", "2")
+        assert code == EXIT_USAGE and out == ""
+        assert "grid must be an integer >= 3, got 2" in err
+
     def test_unknown_tolerance_rejected(self, capsys):
         code, _, err = _run(capsys, "verify", "--grid", "8", "--tol", "nope=1")
         assert code == EXIT_USAGE and "unknown tolerance" in err

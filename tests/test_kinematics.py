@@ -87,6 +87,21 @@ class TestClosedForms:
         assert kin.wigner_angle_tan_form(0.5, 0.5, 0.0) == 0.0
         assert kin.wigner_angle_tan_form(0.5, 0.5, math.pi) == 0.0
 
+    @pytest.mark.parametrize(
+        "route",
+        [
+            kin.wigner_angle_cos_form,
+            kin.wigner_angle_tan_form,
+            kin.wigner_angle_matrix_form,
+        ],
+    )
+    def test_float_pi_is_collinear_on_every_route(self, route):
+        for u in (0.5, 1.0 - 1e-6):
+            assert route(u, u, math.pi) == 0.0
+        speeds = np.array([0.01, 0.5, 0.9, 1.0 - 1e-6])
+        assert np.all(route(speeds, speeds[::-1], math.pi) == 0.0)
+        assert np.all(route(0.7, 0.8, np.full(3, math.pi)) == 0.0)
+
     def test_degenerate_speed_is_zero(self):
         assert kin.wigner_angle_cos_form(0.0, 0.9, 1.0) == 0.0
         assert kin.wigner_angle_tan_form(0.0, 0.9, 1.0) == 0.0
