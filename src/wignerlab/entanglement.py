@@ -14,10 +14,15 @@ reduced eigenvalue
 
 with W = sin^2(delta) for the equal-helicity families and
 W = cos^2(delta) for the unequal-helicity family.
+
+The partial trace and the 2x2 eigenvalues are computed on Python complex
+numbers and floats (no BLAS call, no small-array overhead); the results
+are still returned as numpy arrays, and log2 stays numpy's.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -54,12 +59,53 @@ def reduced_density_matrix(state: SpinMomentumState, keep: str = "spin") -> np.n
     Both reduced matrices share the same spectrum (the global state is
     pure), hence the same entropy.
     """
-    a = state.amplitudes.reshape(2, 2)  # rows: momentum (p+, p-); cols: spin (up, down)
+    a0, a1, a2, a3 = state.amplitudes.tolist()
+    # A = [[a0, a1], [a2, a3]] has rows p+, p- and columns up, down.  rho is the
+    # Gram matrix rho[i][j] = b_i . conj(b_j) of two vectors b_0 = p, b_1 = q:
+    # the columns of A for the spin (A^T conj(A)), its rows for the momentum (A A^H).
     if keep == "spin":
-        return a.T @ a.conj()
-    if keep == "momentum":
-        return a @ a.conj().T
-    raise ValueError(f"keep must be 'spin' or 'momentum', got {keep!r}")
+        (p0, p1), (q0, q1) = (a0, a2), (a1, a3)
+    elif keep == "momentum":
+        (p0, p1), (q0, q1) = (a0, a1), (a2, a3)
+    else:
+        raise ValueError(f"keep must be 'spin' or 'momentum', got {keep!r}")
+    pc0, pc1, qc0, qc1 = p0.conjugate(), p1.conjugate(), q0.conjugate(), q1.conjugate()
+    return np.array(
+        [
+            [p0 * pc0 + p1 * pc1, p0 * qc0 + p1 * qc1],
+            [q0 * pc0 + q1 * pc1, q0 * qc0 + q1 * qc1],
+        ]
+    )
+
+
+def _eigenvalue_pair(rho) -> tuple[float, float]:
+    """(larger, smaller) eigenvalue of a validated 2x2 density matrix, as floats."""
+    rho = np.asarray(rho)
+    if rho.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
+    (r00, r01), (r10, r11) = rho.tolist()
+    # Finiteness first, so that inf - inf never reaches the hermiticity test.
+    if not (
+        all(map(cmath.isfinite, (r00, r01, r10, r11)))
+        and max(
+            abs(r00 - r00.conjugate()),
+            abs(r01 - r10.conjugate()),
+            abs(r11 - r11.conjugate()),
+        )
+        <= _HERMITICITY_TOL
+    ):
+        raise ValueError("density matrix must be finite and Hermitian")
+    tr = float((r00 + r11).real)
+    if not abs(tr - 1.0) <= _TRACE_TOL:
+        raise ValueError(f"density matrix must have unit trace, got {tr}")
+    det = float((r00 * r11 - r01 * r10).real)
+    root = math.sqrt(max(tr * tr - 4.0 * det, 0.0))
+    larger, smaller = (tr + root) / 2.0, (tr - root) / 2.0
+    if smaller < _EIGENVALUE_FLOOR:
+        raise ValueError(
+            f"density matrix is not positive semidefinite: {np.array([larger, smaller])}"
+        )
+    return _clip(larger, 1.0), _clip(smaller, 1.0)
 
 
 def density_eigenvalues(rho: np.ndarray) -> np.ndarray:
@@ -69,24 +115,7 @@ def density_eigenvalues(rho: np.ndarray) -> np.ndarray:
     allowed to dip to -1e-9 before it is treated as a broken invariant);
     the result is clamped into [0, 1] and sums to the trace.
     """
-    rho = np.asarray(rho)
-    if rho.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
-    # Finiteness first, so that inf - inf never reaches the hermiticity test.
-    if not (
-        np.isfinite(rho).all() and np.abs(rho - rho.conj().T).max() <= _HERMITICITY_TOL
-    ):
-        raise ValueError("density matrix must be finite and Hermitian")
-    tr = float(rho.trace().real)
-    if not abs(tr - 1.0) <= _TRACE_TOL:
-        raise ValueError(f"density matrix must have unit trace, got {tr}")
-    det = float((rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real)
-    disc = max(tr * tr - 4.0 * det, 0.0)
-    root = np.sqrt(disc)
-    lam = np.array([(tr + root) / 2.0, (tr - root) / 2.0])
-    if lam.min() < _EIGENVALUE_FLOOR:
-        raise ValueError(f"density matrix is not positive semidefinite: {lam}")
-    return lam.clip(0.0, 1.0)
+    return np.array(_eigenvalue_pair(rho))
 
 
 def _xlog2x(x):
@@ -109,7 +138,7 @@ def binary_entropy(p):
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy -sum(lambda log2 lambda) of a 2x2 density matrix, in bits."""
-    larger, smaller = density_eigenvalues(rho).tolist()
+    larger, smaller = _eigenvalue_pair(rho)
     return float(-(_xlog2x(larger) + _xlog2x(smaller)) + 0.0)  # np.sum's order
 
 

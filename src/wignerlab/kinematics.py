@@ -22,10 +22,12 @@ NaN and infinite inputs are rejected with ValueError.  A call whose
 inputs are all Python floats (``np.float64`` included) validates, masks
 and clips with plain Python operations instead of numpy's 0-d array
 machinery, and evaluates the same ufunc expressions as an array call, so
-it returns the same bits as the array call on the same values.  The
-matrix route unpacks a single (3,) velocity into Python floats and takes
-the same arithmetic as on a stack's components; ``math.sqrt`` and
-``np.sqrt`` are both correctly rounded, so the bits agree there too.
+it returns the same bits as the array call on the same values.
+``compose_boosts`` unpacks a single (3,) velocity into Python floats and
+takes the same arithmetic as on a stack's components, and
+``wigner_angle_matrix_form`` does the same with float and array speeds;
+``math.sqrt`` and ``np.sqrt`` are both correctly rounded, so the bits
+agree there too.
 """
 
 from __future__ import annotations
@@ -314,24 +316,41 @@ def boost_matrix(velocity) -> np.ndarray:
     return mat
 
 
+def _half_rapidity(b2):
+    """(cosh(rho/2), sinh(rho/2)/|beta|) of a boost with |beta|^2 = b2."""
+    g = 1.0 / _sqrt(1.0 - b2)
+    return _sqrt((g + 1.0) / 2.0), g / _sqrt(2.0 * (g + 1.0))
+
+
 def _spinor_boost(velocity):
     """(c, s) of the SL(2,C) boosts c I + s.sigma for (..., 3) velocities."""
     _, beta, b2 = _velocity(velocity)
-    g = 1.0 / _sqrt(1.0 - b2)
-    k = g / _sqrt(2.0 * (g + 1.0))
-    return _sqrt((g + 1.0) / 2.0), [k * b for b in beta]
+    c, k = _half_rapidity(b2)
+    return c, [k * b for b in beta]
+
+
+def _spinor_boost_along(speed, direction):
+    """(c, s) of the SL(2,C) boost with |beta| = speed along a unit direction triple.
+
+    |beta|^2 is the square of the speed itself, not a sum over rounded
+    velocity components, so 1 - |beta|^2 stays accurate as speed -> 1.
+    """
+    c, k = _half_rapidity(speed * speed)
+    k = k * speed
+    return c, [k * n for n in direction]
 
 
 def _spinor_product(first, second):
     """(a0, p, q) of the SL(2,C) product A(second) A(first) = a0 I + (p + i q).sigma.
 
-    A boost is A = c I + s.sigma with c = cosh(rho/2) = sqrt((gamma+1)/2)
-    and s = sinh(rho/2) n = gamma beta / sqrt(2 (gamma+1)): entries of
-    size sqrt(gamma), and no cancellation at small speeds.  The product
-    has a0 = c1 c2 + s1.s2, p = c1 s2 + c2 s1 and q = s2 x s1; p.q = 0
-    and a0^2 + |q|^2 - |p|^2 = det = 1.
+    ``first`` and ``second`` are (c, s) pairs of boosts A = c I + s.sigma
+    with c = cosh(rho/2) = sqrt((gamma+1)/2) and s = sinh(rho/2) n =
+    gamma beta / sqrt(2 (gamma+1)): entries of size sqrt(gamma), and no
+    cancellation at small speeds.  The product has a0 = c1 c2 + s1.s2,
+    p = c1 s2 + c2 s1 and q = s2 x s1; p.q = 0 and
+    a0^2 + |q|^2 - |p|^2 = det = 1.
     """
-    (c1, s1), (c2, s2) = _spinor_boost(first), _spinor_boost(second)
+    (c1, s1), (c2, s2) = first, second
     p = tuple(c1 * b + c2 * a for a, b in zip(s1, s2))
     return c1 * c2 + _dot(s1, s2), p, _cross(s2, s1)
 
@@ -391,7 +410,7 @@ def compose_boosts(first, second) -> BoostComposition:
     inputs give the identity rotation and angle 0.  Exchanging the
     arguments keeps the angle and reverses the rotation axis.
     """
-    a0, p, q = _spinor_product(first, second)
+    a0, p, q = _spinor_product(_spinor_boost(first), _spinor_boost(second))
     qq = _dot(q, q)
     n = _sqrt(a0 * a0 + qq)
     m = [(a0 * pk + ck) / n for pk, ck in zip(p, _cross(p, q))]
@@ -430,6 +449,21 @@ def rotation_axis(rotation: np.ndarray) -> np.ndarray:
     return np.where(defined, vec / np.where(defined, norm, 1.0), 0.0)
 
 
+def _standard_geometry(u, v, phi):
+    """Validated u and v, and the unit direction (sin phi, 0, cos phi) of v.
+
+    Floats stay floats when all three are floats; otherwise all three
+    become arrays.  The float value of pi counts as exactly collinear:
+    there sin phi is exactly 0.
+    """
+    _check_range(u, _U)
+    _check_range(v, _V)
+    _check_range(phi, _PHI)
+    if not (isinstance(u, float) and isinstance(v, float) and isinstance(phi, float)):
+        u, v, phi = (np.asarray(x, dtype=float) for x in (u, v, phi))
+    return u, v, (_clip_zero_collinear(np.sin(phi), phi, 1.0), 0.0, np.cos(phi))
+
+
 def standard_boost_vectors(u, v, phi) -> tuple[np.ndarray, np.ndarray]:
     """Velocity vectors (..., 3) realizing the standard geometry.
 
@@ -439,32 +473,32 @@ def standard_boost_vectors(u, v, phi) -> tuple[np.ndarray, np.ndarray]:
     vector stacks carry their common shape.  The float value of pi counts
     as exactly collinear: there the x component is exactly 0.
     """
-    _check_range(u, _U)
-    _check_range(v, _V)
-    _check_range(phi, _PHI)
-    if isinstance(u, float) and isinstance(v, float) and isinstance(phi, float):
-        shape = ()
-    else:
-        u, v, phi = (np.asarray(x, dtype=float) for x in (u, v, phi))
-        shape = np.broadcast_shapes(u.shape, v.shape, phi.shape)
+    u, v, (nx, _, nz) = _standard_geometry(u, v, phi)
+    shape = np.broadcast_shapes(np.shape(u), np.shape(v), np.shape(nz))
     u_vec = np.zeros(shape + (3,))
     u_vec[..., 2] = u
     v_vec = np.zeros(shape + (3,))
-    v_vec[..., 0] = _clip_zero_collinear(v * np.sin(phi), phi, 1.0)
-    v_vec[..., 2] = v * np.cos(phi)
+    v_vec[..., 0] = v * nx
+    v_vec[..., 2] = v * nz
     return u_vec, v_vec
 
 
 def wigner_angle_matrix_form(u, v, phi):
     """Rotation angle of the boost composition in the standard geometry.
 
-    Composes the two boost vectors in SL(2,C), as ``compose_boosts``
-    does, and takes only the angle, without forming a 4x4 matrix.
-    Broadcasts over u, v and phi like the closed forms, and like them
-    returns exactly 0 for u = 0, v = 0, phi = 0 or phi = pi (the float
-    value of pi is treated as exactly collinear).
+    Composes the two boosts of ``standard_boost_vectors`` in SL(2,C), as
+    ``compose_boosts`` does, and takes only the angle, without forming a
+    4x4 matrix.  Each spinor boost is built from its exact speed and unit
+    direction, (0, 0, 1) for u and (sin phi, 0, cos phi) for v, so no
+    rounded velocity component enters 1 - |beta|^2.  Broadcasts over u,
+    v and phi like the closed forms, and like them returns exactly 0 for
+    u = 0, v = 0, phi = 0 or phi = pi (the float value of pi is treated
+    as exactly collinear).
     """
-    a0, _, q = _spinor_product(*standard_boost_vectors(u, v, phi))
+    u, v, direction = _standard_geometry(u, v, phi)
+    a0, _, q = _spinor_product(
+        _spinor_boost_along(u, (0.0, 0.0, 1.0)), _spinor_boost_along(v, direction)
+    )
     return _rotation_angle(a0, _dot(q, q))
 
 

@@ -11,6 +11,11 @@ A boost of the observer acts on the spin conditioned on the momentum
 branch: the rotation U(+) on the p+ amplitudes and U(-) on the p-
 amplitudes, both about the +y axis by the Thomas-Wigner angle delta.
 Global phases are preserved throughout, never normalized away.
+
+Construction, preparation and boosting work on the four amplitudes as
+Python floats and complex numbers: on a 4-element array numpy's per-call
+cost is many times the arithmetic.  cos and sin stay numpy's, because
+the ``math`` versions can differ from them in the last bit.
 """
 
 from __future__ import annotations
@@ -68,8 +73,14 @@ class SpinMomentumState:
     delta: float | None = None
 
     def __post_init__(self):
-        amp = np.array(self.amplitudes, dtype=complex).reshape(4)
-        norm_sq = float((np.abs(amp) ** 2).sum())
+        amp = np.array(self.amplitudes, dtype=complex)
+        if amp.size != 4:
+            raise ValueError(
+                f"state must have 4 amplitudes {AMPLITUDE_ORDER}, got {amp.size}"
+            )
+        amp = amp.reshape(4)
+        m0, m1, m2, m3 = map(abs, amp.tolist())
+        norm_sq = m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3
         if not abs(norm_sq - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"state must be normalized, got |amplitudes|^2 = {norm_sq}")
         amp.flags.writeable = False
@@ -109,7 +120,8 @@ def prepare_state(helicity_class: HelicityClass, eta: float) -> SpinMomentumStat
     """
     if not 0.0 <= eta < 2.0 * np.pi:
         raise ValueError(f"eta must lie in [0, 2*pi), got {eta}")
-    c, s = np.cos(eta), np.sin(eta)
+    eta = float(eta)  # a float32, float16 or bool eta is evaluated in float64
+    c, s = float(np.cos(eta)), float(np.sin(eta))
     if helicity_class is HelicityClass.EQUAL_PLUS:
         amps = [c, 0.0, 0.0, s]
     elif helicity_class is HelicityClass.EQUAL_MINUS:
@@ -119,10 +131,7 @@ def prepare_state(helicity_class: HelicityClass, eta: float) -> SpinMomentumStat
     else:
         raise ValueError(f"unknown helicity class: {helicity_class!r}")
     return SpinMomentumState(
-        amplitudes=np.asarray(amps, dtype=complex),
-        frame=Frame.REST,
-        helicity_class=helicity_class,
-        eta=float(eta),
+        amplitudes=amps, frame=Frame.REST, helicity_class=helicity_class, eta=eta
     )
 
 
@@ -138,11 +147,7 @@ def wigner_rotation_matrix(delta: float, sign: int) -> np.ndarray:
         raise ValueError(f"sign must be +1 (p+ branch) or -1 (p- branch), got {sign}")
     if not 0.0 <= delta <= np.pi:
         raise ValueError(f"delta must lie in [0, pi], got {delta}")
-    return _half_angle_rotation(np.cos(delta / 2.0), np.sin(delta / 2.0), sign)
-
-
-def _half_angle_rotation(c, s, sign: int) -> np.ndarray:
-    """U(sign) from c = cos(delta/2) and s = sin(delta/2)."""
+    c, s = np.cos(delta / 2.0), np.sin(delta / 2.0)
     return np.array([[c, sign * s], [-sign * s, c]])
 
 
@@ -157,16 +162,15 @@ def boost_state(state: SpinMomentumState, delta: float) -> SpinMomentumState:
         raise ValueError("state is already boosted; only a single boost is modeled")
     if not 0.0 <= delta <= np.pi:
         raise ValueError(f"delta must lie in [0, pi], got {delta}")
-    c, s = np.cos(delta / 2.0), np.sin(delta / 2.0)
-    out = np.empty(4, dtype=complex)
-    out[:2] = _half_angle_rotation(c, s, +1) @ state.amplitudes[:2]
-    out[2:] = _half_angle_rotation(c, s, -1) @ state.amplitudes[2:]
+    delta = float(delta)  # a float32, float16 or bool delta is evaluated in float64
+    c, s = float(np.cos(delta / 2.0)), float(np.sin(delta / 2.0))
+    a0, a1, a2, a3 = state.amplitudes.tolist()
     return SpinMomentumState(
-        amplitudes=out,
+        amplitudes=[c * a0 + s * a1, -s * a0 + c * a1, c * a2 - s * a3, s * a2 + c * a3],
         frame=Frame.BOOSTED,
         helicity_class=state.helicity_class,
         eta=state.eta,
-        delta=float(delta),
+        delta=delta,
     )
 
 

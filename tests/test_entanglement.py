@@ -13,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wignerlab.entanglement as ent
-from wignerlab.states import HelicityClass, boost_state, prepare_state
+from wignerlab.states import (
+    HelicityClass,
+    SpinMomentumState,
+    boost_state,
+    prepare_state,
+)
 
 LN2 = math.log(2.0)
 
@@ -53,6 +58,18 @@ class TestReducedDensityMatrix:
         rho = ent.reduced_density_matrix(product, "spin")
         lam = ent.density_eigenvalues(rho)
         assert np.abs(np.sort(lam) - [0.0, 1.0]).max() < 1e-12
+
+    def test_matches_the_matrix_products(self):
+        """Spin: A^T conj(A); momentum: A A^H, for A the amplitudes as a 2x2 matrix."""
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+            state = SpinMomentumState(amplitudes=amps / np.linalg.norm(amps))
+            a = state.amplitudes.reshape(2, 2)
+            for keep, reference in (("spin", a.T @ a.conj()), ("momentum", a @ a.conj().T)):
+                rho = ent.reduced_density_matrix(state, keep)
+                assert rho.dtype == np.complex128 and rho.shape == (2, 2)
+                assert np.abs(rho - reference).max() < 1e-15, keep
 
     def test_keep_validation(self):
         s = prepare_state(HelicityClass.EQUAL_PLUS, 0.2)
@@ -94,6 +111,51 @@ class TestVonNeumannEntropy:
             ent.von_neumann_entropy(np.diag([1.5, -0.5]))
         with pytest.raises(ValueError, match="2x2"):
             ent.von_neumann_entropy(np.eye(3) / 3)
+
+
+class TestDensityEigenvalues:
+    @pytest.mark.parametrize(
+        "rho",
+        [np.diag([0.75, 0.25]), [[0.75, 0.25j], [-0.25j, 0.25]], [[1, 0], [0, 0]]],
+        ids=["float-dtype", "nested-list", "int-list"],
+    )
+    def test_accepts_any_2x2_array_like(self, rho):
+        as_complex = np.asarray(rho, dtype=complex)
+        lam = ent.density_eigenvalues(rho)
+        assert type(lam) is np.ndarray and lam.dtype == np.float64 and lam.shape == (2,)
+        assert lam.tobytes() == ent.density_eigenvalues(as_complex).tobytes()
+        entropy = ent.von_neumann_entropy(rho)
+        assert type(entropy) is float
+        assert entropy == ent.von_neumann_entropy(as_complex)
+
+    def test_returns_float64_array_for_a_pipeline_matrix(self):
+        boosted = boost_state(prepare_state(HelicityClass.EQUAL_PLUS, 0.6), 1.1)
+        lam = ent.density_eigenvalues(ent.reduced_density_matrix(boosted))
+        assert type(lam) is np.ndarray and lam.dtype == np.float64 and lam.shape == (2,)
+        assert lam[0] >= lam[1]
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            ([[0.5, math.nan], [0.0, 0.5]], "density matrix must be finite and Hermitian"),
+            ([[0.5, 0.1], [0.3, 0.5]], "density matrix must be finite and Hermitian"),
+            ([[0.5, 0.1j], [0.1j, 0.5]], "density matrix must be finite and Hermitian"),
+            (np.eye(2), "density matrix must have unit trace, got 2.0"),
+            (
+                np.diag([1.5, -0.5]),
+                "density matrix is not positive semidefinite: [ 1.5 -0.5]",
+            ),
+            (np.eye(3) / 3, "expected a 2x2 matrix, got shape (3, 3)"),
+            ([0.5, 0.5], "expected a 2x2 matrix, got shape (2,)"),
+        ],
+        ids=["non-finite", "non-hermitian", "non-hermitian-imag", "trace", "psd",
+             "3x3", "vector"],
+    )
+    @pytest.mark.parametrize("call", [ent.density_eigenvalues, ent.von_neumann_entropy])
+    def test_rejection_messages(self, call, rho, message):
+        with pytest.raises(ValueError) as exc:
+            call(rho)
+        assert str(exc.value) == message
 
 
 class TestBinaryEntropy:

@@ -418,7 +418,8 @@ class TestMatrixRouteRange:
     @pytest.mark.parametrize(
         "u, bound",
         [(1e-8, 1e-14), (1e-4, 1e-14), (0.5, 1e-14), (1.0 - 1e-2, 1e-14),
-         (1.0 - 1e-4, 1e-12), (1.0 - 1e-6, 1e-12)],
+         (1.0 - 1e-4, 1e-12), (1.0 - 1e-6, 1e-12),
+         (1.0 - 1e-10, 1e-13), (1.0 - 1e-12, 1e-13)],
     )
     def test_relative_error_against_mpmath(self, u, bound):
         for phi in np.linspace(0.05, math.pi - 0.05, 60).tolist():

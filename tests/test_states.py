@@ -64,6 +64,20 @@ class TestPrepare:
             with pytest.raises(ValueError):
                 prepare_state(HelicityClass.EQUAL_PLUS, bad)
 
+    @pytest.mark.parametrize(
+        "eta", [np.float32(0.3), np.float16(0.3), 1, True, False], ids=repr
+    )
+    @pytest.mark.parametrize("cls", list(HelicityClass))
+    def test_non_float64_eta_is_evaluated_as_float(self, cls, eta):
+        s = prepare_state(cls, eta)
+        assert s.amplitudes.tobytes() == prepare_state(cls, float(eta)).amplitudes.tobytes()
+        assert type(s.eta) is float and s.eta == float(eta)
+
+    @pytest.mark.parametrize("nan", [np.float32("nan"), np.float16("nan")], ids=repr)
+    def test_non_float64_nan_eta_rejected_by_range(self, nan):
+        with pytest.raises(ValueError, match=r"^eta must lie in \[0, 2\*pi\), got nan$"):
+            prepare_state(HelicityClass.EQUAL_PLUS, nan)
+
     @given(etas)
     @settings(max_examples=100, deadline=None)
     def test_unit_norm(self, eta):
@@ -144,6 +158,39 @@ class TestBoost:
         with pytest.raises(ValueError):
             boost_state(s, -0.5)
 
+    def test_amplitudes_are_the_closed_forms_exactly(self):
+        """Every class, against the documented closed forms in np.cos/np.sin."""
+        rng = np.random.default_rng(7)
+        pairs = [(0.0, 0.0), (0.3, math.pi), (math.pi / 4, math.pi / 2)]
+        pairs += zip(rng.uniform(0.0, 2 * math.pi, 200), rng.uniform(0.0, math.pi, 200))
+        for eta, delta in pairs:
+            c, s = np.cos(eta), np.sin(eta)
+            ch, sh = np.cos(delta / 2), np.sin(delta / 2)
+            expected = {
+                HelicityClass.EQUAL_PLUS: [c * ch, -c * sh, -s * sh, s * ch],
+                HelicityClass.EQUAL_MINUS: [c * sh, c * ch, s * ch, s * sh],
+                HelicityClass.UNEQUAL: [c * ch, -c * sh, s * ch, s * sh],
+            }
+            for cls, amps in expected.items():
+                b = boost_state(prepare_state(cls, eta), delta)
+                assert np.array_equal(b.amplitudes, amps), (cls, eta, delta)
+
+    @pytest.mark.parametrize(
+        "delta", [np.float32(0.5), np.float16(0.5), 1, True, False], ids=repr
+    )
+    @pytest.mark.parametrize("cls", list(HelicityClass))
+    def test_non_float64_delta_is_evaluated_as_float(self, cls, delta):
+        rest = prepare_state(cls, 0.6)
+        b = boost_state(rest, delta)
+        assert b.amplitudes.tobytes() == boost_state(rest, float(delta)).amplitudes.tobytes()
+        assert type(b.delta) is float and b.delta == float(delta)
+
+    @pytest.mark.parametrize("nan", [np.float32("nan"), np.float16("nan")], ids=repr)
+    def test_non_float64_nan_delta_rejected_by_range(self, nan):
+        s = prepare_state(HelicityClass.EQUAL_PLUS, 0.2)
+        with pytest.raises(ValueError, match=r"^delta must lie in \[0, pi\], got nan$"):
+            boost_state(s, nan)
+
     @given(etas, deltas)
     @settings(max_examples=100, deadline=None)
     def test_norm_preserved(self, eta, delta):
@@ -218,8 +265,31 @@ class TestStateType:
 
     def test_amplitudes_read_only(self):
         s = prepare_state(HelicityClass.EQUAL_PLUS, 0.4)
-        with pytest.raises(ValueError):
-            s.amplitudes[0] = 0.0
+        for state in (s, boost_state(s, 0.7), SpinMomentumState(amplitudes=[0, 1, 0, 0])):
+            assert state.amplitudes.dtype == np.complex128
+            with pytest.raises(ValueError):
+                state.amplitudes[0] = 0.0
+
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_rejects_wrong_number_of_amplitudes(self, size):
+        message = (
+            r"^state must have 4 amplitudes \('p\+ up', 'p\+ down', 'p- up', 'p- down'\), "
+            f"got {size}$"
+        )
+        amps = np.full(size, 1 / math.sqrt(size), dtype=complex)
+        with pytest.raises(ValueError, match=message):
+            SpinMomentumState(amplitudes=amps)
+        payload = prepare_state(HelicityClass.EQUAL_PLUS, 0.4).to_json_dict()
+        payload["amplitudes"] = [[1 / math.sqrt(size), 0.0]] * size
+        with pytest.raises(ValueError, match=message):
+            state_from_json_dict(payload)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2), (4, 1), (1, 2, 2)])
+    def test_any_shape_of_four_amplitudes(self, shape):
+        amps = np.array([0.6, 0.0, 0.0, 0.8j]).reshape(shape)
+        s = SpinMomentumState(amplitudes=amps)
+        assert s.amplitudes.shape == (4,)
+        assert np.array_equal(s.amplitudes, [0.6, 0.0, 0.0, 0.8j])
 
     def test_json_round_trip(self):
         b = boost_state(prepare_state(HelicityClass.UNEQUAL, 0.9), 1.4)
