@@ -56,6 +56,15 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _write_table(table, fmt: str, path: str) -> None:
+    """Write a sweep or figure table atomically, as CSV text or indented JSON."""
+    if fmt == "csv":
+        text = table.to_csv_text()
+    else:
+        text = json.dumps(table.to_json_dict(), indent=2) + "\n"
+    _atomic_write_text(path, text)
+
+
 def _to_radians(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
@@ -119,23 +128,13 @@ def _cmd_sweep(args) -> int:
         phi_max=_to_radians(args.phi_max, args.degrees),
         samples=args.samples,
     )
-    series = sweep_entanglement(request)
-    if args.format == "csv":
-        text = series.to_csv_text()
-    else:
-        text = json.dumps(series.to_json_dict(), indent=2) + "\n"
-    _atomic_write_text(args.out, text)
+    _write_table(sweep_entanglement(request), args.format, args.out)
     print(f"wrote {request.samples} rows to {args.out}")
     return EXIT_OK
 
 
 def _cmd_figure(args) -> int:
-    dataset = emit_figure(args.id, samples=args.samples)
-    if args.format == "csv":
-        text = dataset.to_csv_text()
-    else:
-        text = json.dumps(dataset.to_json_dict(), indent=2) + "\n"
-    _atomic_write_text(args.out, text)
+    _write_table(emit_figure(args.id, samples=args.samples), args.format, args.out)
     print(f"wrote figure {args.id} to {args.out}")
     return EXIT_OK
 

@@ -23,11 +23,10 @@ inputs are all Python floats (``np.float64`` included) validates, masks
 and clips with plain Python operations instead of numpy's 0-d array
 machinery, and evaluates the same ufunc expressions as an array call, so
 it returns the same bits as the array call on the same values.
-``compose_boosts`` unpacks a single (3,) velocity into Python floats and
-takes the same arithmetic as on a stack's components, and
-``wigner_angle_matrix_form`` does the same with float and array speeds;
-``math.sqrt`` and ``np.sqrt`` are both correctly rounded, so the bits
-agree there too.
+``wigner_angle_matrix_form`` takes the same arithmetic with float and
+array speeds; ``math.sqrt`` and ``np.sqrt`` are both correctly rounded,
+so the bits agree there too.  ``compose_boosts`` and ``boost_matrix``
+treat a single (3,) velocity as a stack with an empty leading shape.
 """
 
 from __future__ import annotations
@@ -274,23 +273,16 @@ def _cross(a, b):
 def _velocity(velocity):
     """Validated (..., 3) velocities: the float array, its components and |beta|^2.
 
-    The components of a single (3,) velocity are Python floats (from
-    ``tolist``), those of a stack are arrays over its leading shape; both
-    take the same arithmetic, so they agree to the bit.
+    The components are arrays over the leading shape (``np.float64``
+    scalars for a single (3,) velocity).
     """
     beta = np.asarray(velocity, dtype=float)
     if beta.shape[-1:] != (3,):
         raise ValueError(f"velocity must have 3 components, got shape {beta.shape}")
-    if beta.ndim == 1:
-        comps = beta.tolist()
+    comps = tuple(np.moveaxis(beta, -1, 0))
+    with np.errstate(over="ignore"):  # a huge component squares to inf
         b2 = _dot(comps, comps)
-        below = b2 < 1.0  # also fails for NaN and inf components
-    else:
-        comps = tuple(np.moveaxis(beta, -1, 0))
-        with np.errstate(over="ignore"):  # a huge component squares to inf
-            b2 = _dot(comps, comps)
-        below = (b2 < 1.0).all()
-    if not below:
+    if not (b2 < 1.0).all():  # also fails for NaN and inf components
         if not np.isfinite(beta).all():
             raise ValueError(f"velocity must be finite, got {beta}")
         raise ValueError(f"velocity must be sub-luminal, got |v| = {math.sqrt(np.max(b2))}")

@@ -12,10 +12,12 @@ branch: the rotation U(+) on the p+ amplitudes and U(-) on the p-
 amplitudes, both about the +y axis by the Thomas-Wigner angle delta.
 Global phases are preserved throughout, never normalized away.
 
-Construction, preparation and boosting work on the four amplitudes as
-Python floats and complex numbers: on a 4-element array numpy's per-call
-cost is many times the arithmetic.  cos and sin stay numpy's, because
-the ``math`` versions can differ from them in the last bit.
+Construction, preparation, boosting and the gate maps work on the four
+amplitudes as Python floats and complex numbers: on a 4-element array
+numpy's per-call cost is many times the arithmetic.  cos and sin stay
+numpy's, because the ``math`` versions can differ from them in the last
+bit.  Scalar inputs (eta, delta) accept floats, numpy scalars and 0-d
+arrays; a list or a sized array is refused with the range message.
 """
 
 from __future__ import annotations
@@ -110,6 +112,23 @@ def state_from_json_dict(payload: dict) -> SpinMomentumState:
     )
 
 
+def _is_scalar(x) -> bool:
+    """Whether x is 0-d: a float, a numpy scalar or a 0-d array."""
+    return isinstance(x, float) or np.ndim(x) == 0
+
+
+def _half_angle(delta) -> tuple[float, float, float]:
+    """(delta, cos(delta/2), sin(delta/2)) as floats, for a scalar delta in [0, pi].
+
+    A float32, float16, int or bool delta is evaluated in float64; a list
+    or a sized array gets the range message.
+    """
+    if not (_is_scalar(delta) and 0.0 <= delta <= np.pi):
+        raise ValueError(f"delta must lie in [0, pi], got {delta}")
+    delta = float(delta)
+    return delta, float(np.cos(delta / 2.0)), float(np.sin(delta / 2.0))
+
+
 def prepare_state(helicity_class: HelicityClass, eta: float) -> SpinMomentumState:
     """Rest-frame state of the given preparation family.
 
@@ -118,7 +137,7 @@ def prepare_state(helicity_class: HelicityClass, eta: float) -> SpinMomentumStat
     pi/2 (maximally, a Bell state, at odd multiples of pi/4); the
     unequal-helicity family is a product state for every eta.
     """
-    if not 0.0 <= eta < 2.0 * np.pi:
+    if not (_is_scalar(eta) and 0.0 <= eta < 2.0 * np.pi):
         raise ValueError(f"eta must lie in [0, 2*pi), got {eta}")
     eta = float(eta)  # a float32, float16 or bool eta is evaluated in float64
     c, s = float(np.cos(eta)), float(np.sin(eta))
@@ -145,9 +164,7 @@ def wigner_rotation_matrix(delta: float, sign: int) -> np.ndarray:
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 (p+ branch) or -1 (p- branch), got {sign}")
-    if not 0.0 <= delta <= np.pi:
-        raise ValueError(f"delta must lie in [0, pi], got {delta}")
-    c, s = np.cos(delta / 2.0), np.sin(delta / 2.0)
+    _, c, s = _half_angle(delta)
     return np.array([[c, sign * s], [-sign * s, c]])
 
 
@@ -160,10 +177,7 @@ def boost_state(state: SpinMomentumState, delta: float) -> SpinMomentumState:
     """
     if state.frame is not Frame.REST:
         raise ValueError("state is already boosted; only a single boost is modeled")
-    if not 0.0 <= delta <= np.pi:
-        raise ValueError(f"delta must lie in [0, pi], got {delta}")
-    delta = float(delta)  # a float32, float16 or bool delta is evaluated in float64
-    c, s = float(np.cos(delta / 2.0)), float(np.sin(delta / 2.0))
+    delta, c, s = _half_angle(delta)
     a0, a1, a2, a3 = state.amplitudes.tolist()
     return SpinMomentumState(
         amplitudes=[c * a0 + s * a1, -s * a0 + c * a1, c * a2 - s * a3, s * a2 + c * a3],
@@ -173,21 +187,6 @@ def boost_state(state: SpinMomentumState, delta: float) -> SpinMomentumState:
         delta=delta,
     )
 
-
-# -i sigma_z (x) sigma_y in the fixed amplitude ordering: momentum-local
-# sigma_z times spin-local sigma_y with an overall phase -i.  Real matrix.
-_PSI_TO_PSITILDE = np.array(
-    [
-        [0.0, -1.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]
-)
-
-# Controlled-U on the spin with U = i sigma_y = [[0, 1], [-1, 0]],
-# conditioned on momentum branch p-; the p+ block is untouched.
-_CONTROLLED_ISY = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 _SWAP_EQUAL = {
     HelicityClass.EQUAL_PLUS: HelicityClass.EQUAL_MINUS,
@@ -203,9 +202,13 @@ def local_unitary_psi_to_psitilde(state: SpinMomentumState) -> SpinMomentumState
     conventions here make the identity phase-exact).  Being local to the
     momentum/spin split, it cannot change the entanglement.  Applying it
     twice gives the identity up to a global phase of -1.
+
+    In the fixed amplitude ordering it is the signed permutation
+    (a0, a1, a2, a3) -> (-a1, a0, a3, -a2).
     """
+    a0, a1, a2, a3 = state.amplitudes.tolist()
     return SpinMomentumState(
-        amplitudes=_PSI_TO_PSITILDE @ state.amplitudes,
+        amplitudes=[-a1, a0, a3, -a2],
         frame=state.frame,
         helicity_class=_SWAP_EQUAL.get(state.helicity_class),
         eta=state.eta,
@@ -220,16 +223,18 @@ def controlled_u_psi_to_xi(state: SpinMomentumState) -> SpinMomentumState:
     boosted equal-helicity (+1) state onto the boosted unequal-helicity
     state at the same (eta, delta), exactly; amplitudes on the control
     branch p+ are unchanged.
+
+    With i sigma_y = [[0, 1], [-1, 0]] it is the signed permutation
+    (a0, a1, a2, a3) -> (a0, a1, a3, -a2).
     """
-    out = np.array(state.amplitudes)
-    out[2:] = _CONTROLLED_ISY @ out[2:]
+    a0, a1, a2, a3 = state.amplitudes.tolist()
     new_class = (
         HelicityClass.UNEQUAL
         if state.helicity_class is HelicityClass.EQUAL_PLUS
         else None
     )
     return SpinMomentumState(
-        amplitudes=out,
+        amplitudes=[a0, a1, a3, -a2],
         frame=state.frame,
         helicity_class=new_class,
         eta=state.eta,

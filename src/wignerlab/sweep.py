@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -133,14 +133,10 @@ class SweepSeries:
     phi: np.ndarray
     delta: np.ndarray
     entropy: np.ndarray
-    version: str = __version__
     extra_metadata: dict = field(default_factory=dict)
 
     def metadata(self) -> dict:
-        meta = self.request.metadata()
-        meta["version"] = self.version
-        meta.update(self.extra_metadata)
-        return meta
+        return {**self.request.metadata(), "version": __version__, **self.extra_metadata}
 
     def to_csv_text(self) -> str:
         return _csv_text(
@@ -295,7 +291,7 @@ def find_local_extrema(series: SweepSeries) -> list[Extremum]:
 
 def threshold_speed_region(phi: float, u_speeds, v_speeds=None) -> np.ndarray:
     """Boolean matrix over (u, v): True where delta(u, v, phi) >= pi/2."""
-    if not 0.0 < phi < math.pi:
+    if np.ndim(phi) != 0 or not 0.0 < phi < math.pi:
         raise ValueError(f"phi must lie in (0, pi), got {phi}")
     u = np.asarray(u_speeds, dtype=float)
     v = u if v_speeds is None else np.asarray(v_speeds, dtype=float)
@@ -329,110 +325,72 @@ def emit_figure(figure_id: str, samples: int | None = None):
         crossing interval in the metadata.
     3c: entanglement sweep, eta = 0.6, u = v = 0.995 (reaches the
         ultra-relativistic regime between the crossings).
+
+    The long-format figures evaluate all their curves in one call, curve
+    after curve along the rows.
     """
     if samples is not None:
         _check_samples(samples)
 
-    if figure_id == "1a":
-        n = samples or 501
-        speeds = np.linspace(0.0, _FIG1A_SPEED_MAX, n)
-        rows = []
-        for phi in _FIG1A_PHI_VALUES:
-            delta = wigner_angle_tan_form(speeds, speeds, phi)
-            rows.append(np.column_stack([speeds, np.full(n, phi), delta]))
-        return Dataset(
-            columns=("u", "phi", "delta"),
-            rows=np.vstack(rows),
-            metadata={
-                "figure": "1a",
-                "phi_values": list(_FIG1A_PHI_VALUES),
-                "speed_max": _FIG1A_SPEED_MAX,
-                "equal_speeds": True,
-                "version": __version__,
-            },
-        )
-
-    if figure_id == "1b":
-        n = samples or 2001
-        phis = np.linspace(0.0, math.pi, n)
-        rows = []
-        for u in _FIG1B_SPEEDS:
-            delta = wigner_angle_tan_form(u, u, phis)
-            rows.append(np.column_stack([np.full(n, u), phis, delta]))
-        return Dataset(
-            columns=("u", "phi", "delta"),
-            rows=np.vstack(rows),
-            metadata={
-                "figure": "1b",
-                "speeds": list(_FIG1B_SPEEDS),
-                "equal_speeds": True,
-                "version": __version__,
-            },
-        )
-
-    if figure_id == "1c":
-        n = samples or 201
-        phi = 3.0 * math.pi / 4.0
-        speeds = np.linspace(0.0, _FIG1C_SPEED_MAX, n)
-        ultra = threshold_speed_region(phi, speeds)
-        rows = np.column_stack(
-            [
-                np.repeat(speeds, n),
-                np.tile(speeds, n),
-                ultra.astype(float).ravel(),
-            ]
-        )
-        return Dataset(
-            columns=("u", "v", "ultra"),
-            rows=rows,
-            metadata={
-                "figure": "1c",
-                "phi": phi,
-                "equal_speed_threshold": equal_speed_ultra_threshold(phi),
-                "version": __version__,
-            },
-        )
-
     if figure_id in ("3a", "3c"):
         speed = _FIG3A_SPEED if figure_id == "3a" else _FIG3C_SPEED
-        request = SweepRequest(
-            u=speed,
-            v=speed,
-            eta=_FIG3_ETA,
-            helicity_class=HelicityClass.EQUAL_PLUS,
-            samples=samples or 2001,
+        series = sweep_entanglement(
+            SweepRequest(
+                u=speed,
+                v=speed,
+                eta=_FIG3_ETA,
+                helicity_class=HelicityClass.EQUAL_PLUS,
+                samples=samples or 2001,
+            )
         )
-        series = sweep_entanglement(request)
         extras = {"figure": figure_id, "phi_star": argmax_boost_angle(speed, speed)}
         crossings = ultra_phi_interval(speed, speed)
         if crossings is not None:
             extras["delta_half_pi_crossings"] = list(crossings)
-        return SweepSeries(
-            request=series.request,
-            phi=series.phi,
-            delta=series.delta,
-            entropy=series.entropy,
-            version=series.version,
-            extra_metadata=extras,
-        )
+        return replace(series, extra_metadata=extras)
 
-    if figure_id == "3b":
+    if figure_id == "1a":
+        n = samples or 501
+        u = np.tile(np.linspace(0.0, _FIG1A_SPEED_MAX, n), len(_FIG1A_PHI_VALUES))
+        phi = np.repeat(_FIG1A_PHI_VALUES, n)
+        columns = ("u", "phi", "delta")
+        values = (u, phi, wigner_angle_tan_form(u, u, phi))
+        meta = {
+            "phi_values": list(_FIG1A_PHI_VALUES),
+            "speed_max": _FIG1A_SPEED_MAX,
+            "equal_speeds": True,
+        }
+    elif figure_id == "1b":
         n = samples or 2001
+        u = np.repeat(_FIG1B_SPEEDS, n)
+        phi = np.tile(np.linspace(0.0, math.pi, n), len(_FIG1B_SPEEDS))
+        columns = ("u", "phi", "delta")
+        values = (u, phi, wigner_angle_tan_form(u, u, phi))
+        meta = {"speeds": list(_FIG1B_SPEEDS), "equal_speeds": True}
+    elif figure_id == "1c":
+        n = samples or 201
+        phi = 3.0 * math.pi / 4.0
+        speeds = np.linspace(0.0, _FIG1C_SPEED_MAX, n)
+        ultra = threshold_speed_region(phi, speeds)
+        columns = ("u", "v", "ultra")
+        values = (np.repeat(speeds, n), np.tile(speeds, n), ultra.astype(float).ravel())
+        meta = {"phi": phi, "equal_speed_threshold": equal_speed_ultra_threshold(phi)}
+    elif figure_id == "3b":
         u = _FIG3C_SPEED
-        phis = np.linspace(0.0, math.pi, n)
-        delta = wigner_angle_tan_form(u, u, phis)
+        phi = np.linspace(0.0, math.pi, samples or 2001)
         crossings = ultra_phi_interval(u, u)
-        return Dataset(
-            columns=("phi", "delta"),
-            rows=np.column_stack([phis, delta]),
-            metadata={
-                "figure": "3b",
-                "u": u,
-                "v": u,
-                "speed_factor_d": speed_factor_d(u, u),
-                "delta_half_pi_crossings": list(crossings) if crossings else None,
-                "version": __version__,
-            },
+        columns = ("phi", "delta")
+        values = (phi, wigner_angle_tan_form(u, u, phi))
+        meta = {
+            "u": u,
+            "v": u,
+            "speed_factor_d": speed_factor_d(u, u),
+            "delta_half_pi_crossings": list(crossings) if crossings else None,
+        }
+    else:
+        raise ValueError(
+            f"unknown figure id {figure_id!r}; known: {', '.join(FIGURE_IDS)}"
         )
-
-    raise ValueError(f"unknown figure id {figure_id!r}; known: {', '.join(FIGURE_IDS)}")
+    return Dataset(
+        columns, np.column_stack(values), {"figure": figure_id, **meta, "version": __version__}
+    )

@@ -499,6 +499,18 @@ class TestStacks:
         assert kin.rotation_axis(rotation).shape == (3,)
         assert kin.boost_matrix([0.1, 0.2, 0.3]).shape == (4, 4)
 
+    def test_single_velocity_equals_its_stack_element_to_the_bit(self):
+        rng = np.random.default_rng(23)
+        first, second = rng.uniform(-0.57, 0.57, (2, 40, 3))
+        boost, rotation, angle = kin.compose_boosts(first, second)
+        mats = kin.boost_matrix(first)
+        for k in range(40):
+            b1, r1, a1 = kin.compose_boosts(first[k], second[k])
+            assert b1.tobytes() == boost[k].tobytes()
+            assert r1.tobytes() == rotation[k].tobytes()
+            assert type(a1) is float and a1 == angle[k]
+            assert kin.boost_matrix(first[k]).tobytes() == mats[k].tobytes()
+
     def test_boost_matrix_stack_and_identity(self):
         betas = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [0.0, 0.9, 0.0]])
         mats = kin.boost_matrix(betas)

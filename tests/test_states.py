@@ -65,7 +65,9 @@ class TestPrepare:
                 prepare_state(HelicityClass.EQUAL_PLUS, bad)
 
     @pytest.mark.parametrize(
-        "eta", [np.float32(0.3), np.float16(0.3), 1, True, False], ids=repr
+        "eta",
+        [np.float32(0.3), np.float16(0.3), 1, True, False, np.array(0.3)],
+        ids=repr,
     )
     @pytest.mark.parametrize("cls", list(HelicityClass))
     def test_non_float64_eta_is_evaluated_as_float(self, cls, eta):
@@ -103,6 +105,17 @@ class TestRotationMatrix:
         assert np.abs(up @ up.T - np.eye(2)).max() < 1e-12
         assert np.linalg.det(up) == pytest.approx(1.0, abs=1e-12)
         assert np.array_equal(down, up.T)
+
+    @pytest.mark.parametrize(
+        "delta",
+        [np.float32(0.5), np.float16(0.5), 1, True, False, np.array(0.5)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_non_float64_delta_is_evaluated_as_float(self, delta, sign):
+        mat = wigner_rotation_matrix(delta, sign)
+        assert mat.dtype == np.float64
+        assert mat.tobytes() == wigner_rotation_matrix(float(delta), sign).tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -176,7 +189,9 @@ class TestBoost:
                 assert np.array_equal(b.amplitudes, amps), (cls, eta, delta)
 
     @pytest.mark.parametrize(
-        "delta", [np.float32(0.5), np.float16(0.5), 1, True, False], ids=repr
+        "delta",
+        [np.float32(0.5), np.float16(0.5), 1, True, False, np.array(0.5)],
+        ids=repr,
     )
     @pytest.mark.parametrize("cls", list(HelicityClass))
     def test_non_float64_delta_is_evaluated_as_float(self, cls, delta):
@@ -199,7 +214,32 @@ class TestBoost:
             assert abs(np.sum(np.abs(b.amplitudes) ** 2) - 1.0) < 1e-12
 
 
+# A list or a sized array is not a scalar angle, even with one in-range element.
+_SIZED = [[0.5], np.array([0.5]), np.array([[0.5]])]
+
+
+class TestScalarInputs:
+    @pytest.mark.parametrize("bad", _SIZED, ids=repr)
+    def test_sized_eta_refused(self, bad):
+        with pytest.raises(ValueError, match=r"^eta must lie in \[0, 2\*pi\), got \[+0\.5\]+$"):
+            prepare_state(HelicityClass.EQUAL_PLUS, bad)
+
+    @pytest.mark.parametrize("bad", _SIZED, ids=repr)
+    def test_sized_delta_refused(self, bad):
+        rest = prepare_state(HelicityClass.EQUAL_PLUS, 0.2)
+        for call in (lambda: boost_state(rest, bad), lambda: wigner_rotation_matrix(bad, 1)):
+            with pytest.raises(ValueError, match=r"^delta must lie in \[0, pi\], got \[+0\.5\]+$"):
+                call()
+
+
 class TestLocalUnitaryMap:
+    def test_is_the_signed_permutation(self):
+        s = _random_state(np.random.default_rng(8))
+        a0, a1, a2, a3 = s.amplitudes
+        out = local_unitary_psi_to_psitilde(s).amplitudes
+        assert out.dtype == np.complex128
+        assert np.array_equal(out, [-a1, a0, a3, -a2])
+
     def test_maps_boosted_psi_to_boosted_psitilde(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -223,6 +263,13 @@ class TestLocalUnitaryMap:
 
 
 class TestControlledUMap:
+    def test_is_the_signed_permutation(self):
+        s = _random_state(np.random.default_rng(9))
+        a0, a1, a2, a3 = s.amplitudes
+        out = controlled_u_psi_to_xi(s).amplitudes
+        assert out.dtype == np.complex128
+        assert np.array_equal(out, [a0, a1, a3, -a2])
+
     def test_maps_boosted_psi_to_boosted_xi(self):
         rng = np.random.default_rng(4)
         for _ in range(50):

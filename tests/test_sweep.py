@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import wignerlab
 import wignerlab.kinematics as kin
 from wignerlab.entanglement import boosted_entropy_closed_form, rest_frame_entropy
 from wignerlab.states import HelicityClass
@@ -362,6 +363,17 @@ class TestAngleSweepAndRegion:
         speeds = np.linspace(0.0, 0.9999, 60)
         assert not threshold_speed_region(math.pi / 2, speeds).any()
 
+    @pytest.mark.parametrize("bad", [[2.5], np.array([2.5]), np.array([[2.5]])], ids=repr)
+    def test_threshold_region_refuses_sized_phi(self, bad):
+        with pytest.raises(ValueError, match=r"^phi must lie in \(0, pi\), got \[+2\.5\]+$"):
+            threshold_speed_region(bad, [0.9, 0.99])
+
+    def test_threshold_region_accepts_zero_d_phi(self):
+        speeds = [0.9, 0.99, 0.999]
+        assert np.array_equal(
+            threshold_speed_region(np.array(2.5), speeds), threshold_speed_region(2.5, speeds)
+        )
+
     def test_threshold_region_diagonal_boundary(self):
         speeds = np.linspace(0.97, 0.999, 1000)
         diag = np.diagonal(threshold_speed_region(3 * math.pi / 4, speeds))
@@ -369,7 +381,70 @@ class TestAngleSweepAndRegion:
         assert first == pytest.approx(0.9851714310094161, abs=2 * (speeds[1] - speeds[0]))
 
 
+# Default grid density of each Dataset figure.
+_FIGURE_DEFAULT_SAMPLES = {"1a": 501, "1b": 2001, "1c": 201, "3b": 2001}
+
+
+def _figure_reference_rows(figure_id, n):
+    """Rows of a Dataset figure built curve by curve: one call per curve, stacked."""
+    if figure_id == "1a":
+        speeds = np.linspace(0.0, 0.999, n)
+        curves = [
+            np.column_stack(
+                [speeds, np.full(n, phi), kin.wigner_angle_tan_form(speeds, speeds, phi)]
+            )
+            for phi in (math.pi / 4, math.pi / 2, 3 * math.pi / 4)
+        ]
+    elif figure_id == "1b":
+        phis = np.linspace(0.0, math.pi, n)
+        curves = [
+            np.column_stack([np.full(n, u), phis, kin.wigner_angle_tan_form(u, u, phis)])
+            for u in (0.5, 0.9, 0.99, 0.999)
+        ]
+    elif figure_id == "1c":
+        speeds = np.linspace(0.0, 0.9999, n)
+        curves = [
+            np.column_stack(
+                [
+                    np.full(n, u),
+                    speeds,
+                    kin.ultra_relativistic_condition(u, speeds, 3 * math.pi / 4).astype(float),
+                ]
+            )
+            for u in speeds
+        ]
+    else:  # 3b
+        phis = np.linspace(0.0, math.pi, n)
+        curves = [np.column_stack([phis, kin.wigner_angle_tan_form(0.995, 0.995, phis)])]
+    return np.vstack(curves)
+
+
 class TestFigures:
+    @pytest.mark.parametrize("samples", [2, 41, None])
+    @pytest.mark.parametrize("figure_id", sorted(_FIGURE_DEFAULT_SAMPLES))
+    def test_dataset_rows_match_per_curve_reference(self, figure_id, samples):
+        dataset = emit_figure(figure_id, samples=samples)
+        n = samples or _FIGURE_DEFAULT_SAMPLES[figure_id]
+        assert np.array_equal(dataset.rows, _figure_reference_rows(figure_id, n))
+
+    @pytest.mark.parametrize("figure_id", sorted(_FIGURE_DEFAULT_SAMPLES))
+    def test_dataset_metadata_runs_figure_first_version_last(self, figure_id):
+        payload = json.loads(json.dumps(emit_figure(figure_id, samples=3).to_json_dict()))
+        keys = list(payload["metadata"])
+        assert keys[0] == "figure" and payload["metadata"]["figure"] == figure_id
+        assert keys[-1] == "version" and payload["metadata"]["version"] == wignerlab.__version__
+
+    @pytest.mark.parametrize("figure_id", ["3a", "3c"])
+    def test_sweep_figure_metadata_layout(self, figure_id):
+        series = emit_figure(figure_id, samples=3)
+        assert series.request == _request(u=0.95 if figure_id == "3a" else 0.995, samples=3)
+        request_keys = ["u", "v", "eta", "class", "phi_min", "phi_max", "samples"]
+        figure_keys = ["figure", "phi_star"]
+        if figure_id == "3c":
+            figure_keys.append("delta_half_pi_crossings")
+        assert list(series.metadata()) == request_keys + ["version"] + figure_keys
+        assert series.metadata()["figure"] == figure_id
+
     def test_3a_minimum_location(self):
         series = emit_figure("3a")
         idx = np.argmin(series.entropy)
