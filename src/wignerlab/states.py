@@ -16,8 +16,9 @@ Construction, preparation, boosting and the gate maps work on the four
 amplitudes as Python floats and complex numbers: on a 4-element array
 numpy's per-call cost is many times the arithmetic.  cos and sin stay
 numpy's, because the ``math`` versions can differ from them in the last
-bit.  Scalar inputs (eta, delta) accept floats, numpy scalars and 0-d
-arrays; a list or a sized array is refused with the range message.
+bit.  Scalar inputs (eta, delta) accept floats, ints, bools, real numpy
+scalars and 0-d arrays; a list, a sized array, a complex number, a
+string or None is refused with the range message.
 """
 
 from __future__ import annotations
@@ -112,18 +113,21 @@ def state_from_json_dict(payload: dict) -> SpinMomentumState:
     )
 
 
-def _is_scalar(x) -> bool:
-    """Whether x is 0-d: a float, a numpy scalar or a 0-d array."""
-    return isinstance(x, float) or np.ndim(x) == 0
+def _is_real_scalar(x) -> bool:
+    """Whether x is a real 0-d number: a float, int, bool, real numpy scalar or 0-d array.
+
+    Complex numbers, strings and None are not.
+    """
+    return isinstance(x, float) or (np.ndim(x) == 0 and np.asarray(x).dtype.kind in "biuf")
 
 
 def _half_angle(delta) -> tuple[float, float, float]:
     """(delta, cos(delta/2), sin(delta/2)) as floats, for a scalar delta in [0, pi].
 
-    A float32, float16, int or bool delta is evaluated in float64; a list
-    or a sized array gets the range message.
+    A float32, float16, int or bool delta is evaluated in float64; a list,
+    a sized array, a complex number, a string or None gets the range message.
     """
-    if not (_is_scalar(delta) and 0.0 <= delta <= np.pi):
+    if not (_is_real_scalar(delta) and 0.0 <= delta <= np.pi):
         raise ValueError(f"delta must lie in [0, pi], got {delta}")
     delta = float(delta)
     return delta, float(np.cos(delta / 2.0)), float(np.sin(delta / 2.0))
@@ -137,7 +141,7 @@ def prepare_state(helicity_class: HelicityClass, eta: float) -> SpinMomentumStat
     pi/2 (maximally, a Bell state, at odd multiples of pi/4); the
     unequal-helicity family is a product state for every eta.
     """
-    if not (_is_scalar(eta) and 0.0 <= eta < 2.0 * np.pi):
+    if not (_is_real_scalar(eta) and 0.0 <= eta < 2.0 * np.pi):
         raise ValueError(f"eta must lie in [0, 2*pi), got {eta}")
     eta = float(eta)  # a float32, float16 or bool eta is evaluated in float64
     c, s = float(np.cos(eta)), float(np.sin(eta))

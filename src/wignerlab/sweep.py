@@ -17,7 +17,9 @@ the endpoints of ``ultra_phi_interval``.
 
 Output formats: CSV with 17-significant-digit decimals and LF line
 endings; JSON as {"metadata": ..., "rows": ...}.  Identical inputs
-produce byte-identical text.
+produce byte-identical text.  Every CSV field is exactly
+``format(x, ".17g")``: fields with 1e-4 <= |x| < 1e16 come from exact
+integer arithmetic on arrays, and every other value goes through ``%``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .kinematics import (
     ultra_relativistic_condition,
     wigner_angle_tan_form,
 )
-from .states import HelicityClass
+from .states import HelicityClass, _is_real_scalar
 
 __all__ = [
     "Dataset",
@@ -56,23 +58,165 @@ __all__ = [
 ]
 
 _PLATEAU_TOL = 1e-14
-_CSV_CHUNK_ROWS = 65_536
+# Rows formatted per step.  A step's buffers take about 300 bytes per row;
+# at 4,096 rows they stay in cache, and the heap they leave resident is
+# small beside the text (at 65,536 rows it added about 50 MB to the peak
+# RSS of a 1,000,001-row sweep).
+_CSV_CHUNK_ROWS = 4_096
+
+# CSV fields: exact "%.17g" with array arithmetic.
+#
+# For 1e-4 <= |x| < 1e16, "%.17g" writes x in fixed notation from its
+# correctly rounded 17-digit significand D = d0 d1 .. d16 and its decimal
+# exponent E = floor(log10|x|).  Each value gets a slot that holds every
+# character its text can use, at fixed columns, and a keep-mask row picks
+# the characters it does use:
+#
+#   byte  0      separator before the field: LF in the first column, "," after
+#         1      "-"
+#         2-3    "0."                       (E < 0)
+#         4-6    "000", the last -E-1 kept  (E < -1)
+#         7      d0
+#         8-23   d1..d16                    (E < 0: all; E >= 0: up to dE)
+#         24-30  unused
+#         31     "."                        (E >= 0 with fraction digits)
+#         32-47  d1..d16 again              (E >= 0: from d(E+1))
+#
+# Leading and trailing zeros are dropped by the mask, so no column depends on
+# the value.  The mask row depends only on E and the count of trailing zeros
+# of D, and is read from a table.
+_CSV_SLOT = 48
 
 
-def _csv_text(header: tuple, rows: np.ndarray) -> str:
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """"0000".."9999" as four ASCII bytes read as one uint32, and their trailing zeros.
+
+    0000 counts 16 trailing zeros, so that the minimum over the groups of
+    D of (zeros of the group + 4 * groups after it) counts them for all of D.
+    """
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # thousands .. units
+    quads = (np.ascontiguousarray(digits.T) + ord("0")).view(np.uint32).ravel()
+    trailing = np.logical_and.accumulate(digits[::-1] == 0).sum(axis=0)
+    trailing[0] = 16
+    return quads, trailing
+
+
+_DIGIT_QUADS, _QUAD_TRAILING_ZEROS = _digit_tables()
+# 10**k for k = 16 - E in 0..21 is an exact double; Veltkamp's split into two
+# 26-bit halves is what Dekker's two-product needs.
+_POW10 = 10.0 ** np.arange(22)
+_VELTKAMP = 2.0**27 + 1.0
+_POW10_HI = _VELTKAMP * _POW10 - (_VELTKAMP * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+
+def _csv_keep_table() -> np.ndarray:
+    """Keep-mask rows of the slot, indexed by ``(E + 5) * 17 + trailing zeros``.
+
+    E runs over -5..16 because log10 can be one off for in-range values;
+    those values go to the fallback, which replaces their row.
+    """
+    e = np.arange(-5, 17)[:, None, None]
+    last = 16 - np.arange(17)[None, :, None]  # index of the last nonzero digit
+    col = np.arange(_CSV_SLOT)
+    below_one = e < 0
+    keep = (
+        (col == 0)
+        | below_one & ((col == 2) | (col == 3) | (col >= 8 + e) & (col <= 6))
+        | (col >= 7) & (col <= 7 + np.where(below_one, last, e))
+        | ~below_one & (last > e) & ((col == 31) | (col >= 32 + e) & (col <= 31 + last))
+    )
+    return keep.reshape(-1, _CSV_SLOT)
+
+
+_CSV_KEEP = _csv_keep_table()
+# Keep-mask rows for fallback text of each length (at most 24 bytes).
+_CSV_FALLBACK_KEEP = np.arange(_CSV_SLOT) <= np.arange(25)[:, None]
+
+
+def _csv_fields(block: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """ASCII bytes of the ``%.17g`` fields of a block of rows, each after its separator.
+
+    ``heads`` holds, per column, the slot's first four bytes: the
+    separator, "-" and "0.".
+    """
+    x = block.ravel()
+    a = np.abs(x)
+    fixed = (a >= 1e-4) & (a < 1e16)  # NaN fails too
+    a = np.where(fixed, a, 1.0)
+    # Dekker's two-product splits |x| * 10**(16 - E) exactly into p + err.
+    # For the right E, p >= 1e16 > 2**53 is an even integer, so rounding
+    # p + err half to even (as CPython's dtoa does) is p + rint(err).  A D
+    # outside [1e16, 1e17) means log10 gave the wrong E, or D rounded up to
+    # 1e17; such values go to the fallback.  An overestimated E always gives
+    # D <= 1e16 - 1: the largest double below each power of ten lies more
+    # than half a unit of the 17th digit below it.
+    e = np.floor(np.log10(a)).astype(np.int64)
+    k = 16 - e
+    scale, scale_hi, scale_lo = _POW10[k], _POW10_HI[k], _POW10_LO[k]
+    p = a * scale
+    split = _VELTKAMP * a
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    err = ((a_hi * scale_hi - p) + a_hi * scale_lo + a_lo * scale_hi) + a_lo * scale_lo
+    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    fixed &= (d >= 10**16) & (d < 10**17)
+
+    words = np.empty((x.size, _CSV_SLOT // 4), np.uint32)
+    words.reshape(-1, heads.size, _CSV_SLOT // 4)[:, :, 0] = heads
+    trailing = np.full(x.size, 16)
+    for col in (5, 4, 3, 2):  # d13..d16, d9..d12, d5..d8, d1..d4
+        q = d // 10_000
+        r = d - q * 10_000
+        words[:, col] = _DIGIT_QUADS[r]
+        trailing = np.minimum(trailing, 4 * (5 - col) + _QUAD_TRAILING_ZEROS[r])
+        d = q
+    words[:, 1] = _DIGIT_QUADS[d]  # "000" d0
+    wide = words.view(np.uint64)
+    wide[:, 4:6] = wide[:, 1:3]  # d1..d16 again, at bytes 32-47
+    slots = words.view(np.uint8)
+    slots[:, 31] = ord(".")
+    keep = _CSV_KEEP.take((e + 5) * 17 + trailing, axis=0)
+    keep[:, 1] = x < 0
+
+    fallback = np.flatnonzero(~fixed)
+    if fallback.size:
+        text = ("%.17g," * fallback.size) % tuple(x[fallback].tolist())
+        chars = np.frombuffer(text.encode("ascii"), np.uint8)
+        ends = np.flatnonzero(chars == ord(","))
+        lengths = np.diff(ends, prepend=-1) - 1
+        # Field j's characters go to bytes 1..length of its slot.
+        rows = np.repeat(fallback, lengths)
+        starts = ends - lengths - np.arange(fallback.size)  # in chars without commas
+        cols = np.arange(rows.size) + np.repeat(1 - starts, lengths)
+        slots[rows, cols] = chars[chars != ord(",")]
+        keep[fallback] = _CSV_FALLBACK_KEEP[lengths]
+    return slots[keep]
+
+
+def _csv_text(header: tuple, columns) -> str:
     """CSV text: the header line, then one ``%.17g`` field per value, LF-terminated.
 
-    Rows are formatted a chunk at a time with a single ``%`` operation,
-    which converts each float exactly as ``format(x, ".17g")`` does;
-    the chunking only bounds the size of the intermediate tuple.
+    ``columns`` holds one 1-d array per header name.  Every field is
+    exactly ``format(x, ".17g")``.  Values with ``1e-4 <= |x| < 1e16``
+    (fixed notation) are formatted with exact integer arithmetic on
+    arrays; every other value (0, -0.0, subnormals, smaller or larger
+    magnitudes, inf, NaN) and the rare value whose exponent estimate is
+    off go through ``%``.  Rows are stacked and formatted
+    ``_CSV_CHUNK_ROWS`` at a time, which bounds the temporaries.
     """
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    rows = np.asarray(rows, dtype=float)
-    parts = [",".join(header) + "\n"]
-    for start in range(0, rows.shape[0], _CSV_CHUNK_ROWS):
-        block = rows[start : start + _CSV_CHUNK_ROWS]
-        parts.append((line * block.shape[0]) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    if not header or len(columns) != len(header):
+        raise ValueError(f"need one column of values per name, got {len(columns)} for {header}")
+    heads = np.frombuffer(("\n-0." + ",-0." * (len(header) - 1)).encode("ascii"), np.uint32)
+    # One growing buffer, not a list of chunk strings: freed chunks would
+    # stay resident while the text is decoded.
+    text = bytearray(",".join(header).encode())
+    for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        block = np.column_stack([column[start : start + _CSV_CHUNK_ROWS] for column in columns])
+        text += _csv_fields(block, heads).data
+    text += b"\n"
+    return text.decode()
 
 
 def _check_samples(samples) -> None:
@@ -102,12 +246,19 @@ class SweepRequest:
     samples: int = 2001
 
     def __post_init__(self):
+        """Range checks; a list, array, complex, string or None gets the range message too."""
         for name, speed in (("u", self.u), ("v", self.v)):
-            if not 0.0 <= speed < 1.0:
+            if not (_is_real_scalar(speed) and 0.0 <= speed < 1.0):
                 raise ValueError(f"{name} must satisfy 0 <= {name} < 1, got {speed}")
-        if not 0.0 <= self.eta < 2.0 * math.pi:
+        if not (_is_real_scalar(self.eta) and 0.0 <= self.eta < 2.0 * math.pi):
             raise ValueError(f"eta must lie in [0, 2*pi), got {self.eta}")
-        if not (0.0 <= self.phi_min < self.phi_max <= math.pi):
+        if not isinstance(self.helicity_class, HelicityClass):
+            raise ValueError(f"unknown helicity class: {self.helicity_class!r}")
+        if not (
+            _is_real_scalar(self.phi_min)
+            and _is_real_scalar(self.phi_max)
+            and 0.0 <= self.phi_min < self.phi_max <= math.pi
+        ):
             raise ValueError(
                 f"need 0 <= phi_min < phi_max <= pi, got [{self.phi_min}, {self.phi_max}]"
             )
@@ -115,12 +266,12 @@ class SweepRequest:
 
     def metadata(self) -> dict:
         return {
-            "u": self.u,
-            "v": self.v,
-            "eta": self.eta,
+            "u": float(self.u),
+            "v": float(self.v),
+            "eta": float(self.eta),
             "class": self.helicity_class.value,
-            "phi_min": self.phi_min,
-            "phi_max": self.phi_max,
+            "phi_min": float(self.phi_min),
+            "phi_max": float(self.phi_max),
             "samples": int(self.samples),
         }
 
@@ -139,10 +290,7 @@ class SweepSeries:
         return {**self.request.metadata(), "version": __version__, **self.extra_metadata}
 
     def to_csv_text(self) -> str:
-        return _csv_text(
-            ("phi", "delta", "entropy_bits"),
-            np.column_stack([self.phi, self.delta, self.entropy]),
-        )
+        return _csv_text(("phi", "delta", "entropy_bits"), (self.phi, self.delta, self.entropy))
 
     def to_json_dict(self) -> dict:
         return {
@@ -160,7 +308,7 @@ class Dataset:
     metadata: dict
 
     def to_csv_text(self) -> str:
-        return _csv_text(self.columns, self.rows)
+        return _csv_text(self.columns, np.asarray(self.rows, dtype=float).T)
 
     def to_json_dict(self) -> dict:
         return {
@@ -291,7 +439,7 @@ def find_local_extrema(series: SweepSeries) -> list[Extremum]:
 
 def threshold_speed_region(phi: float, u_speeds, v_speeds=None) -> np.ndarray:
     """Boolean matrix over (u, v): True where delta(u, v, phi) >= pi/2."""
-    if np.ndim(phi) != 0 or not 0.0 < phi < math.pi:
+    if not (_is_real_scalar(phi) and 0.0 < phi < math.pi):
         raise ValueError(f"phi must lie in (0, pi), got {phi}")
     u = np.asarray(u_speeds, dtype=float)
     v = u if v_speeds is None else np.asarray(v_speeds, dtype=float)

@@ -1,6 +1,8 @@
 """Tests for state preparation, the rotation matrices, boosting, and the maps."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +218,7 @@ class TestBoost:
 
 # A list or a sized array is not a scalar angle, even with one in-range element.
 _SIZED = [[0.5], np.array([0.5]), np.array([[0.5]])]
+_NOT_REAL = [np.complex128(0.3 + 2j), 0.3 + 2j, np.array(0.3 + 0j), "0.3", None]
 
 
 class TestScalarInputs:
@@ -230,6 +233,26 @@ class TestScalarInputs:
         for call in (lambda: boost_state(rest, bad), lambda: wigner_rotation_matrix(bad, 1)):
             with pytest.raises(ValueError, match=r"^delta must lie in \[0, pi\], got \[+0\.5\]+$"):
                 call()
+
+    @pytest.mark.parametrize("bad", _NOT_REAL, ids=repr)
+    def test_non_real_eta_refused(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning either
+            with pytest.raises(
+                ValueError, match=rf"^eta must lie in \[0, 2\*pi\), got {re.escape(str(bad))}$"
+            ):
+                prepare_state(HelicityClass.EQUAL_PLUS, bad)
+
+    @pytest.mark.parametrize("bad", _NOT_REAL, ids=repr)
+    def test_non_real_delta_refused(self, bad):
+        rest = prepare_state(HelicityClass.EQUAL_PLUS, 0.2)
+        for call in (lambda: boost_state(rest, bad), lambda: wigner_rotation_matrix(bad, 1)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(
+                    ValueError, match=rf"^delta must lie in \[0, pi\], got {re.escape(str(bad))}$"
+                ):
+                    call()
 
 
 class TestLocalUnitaryMap:

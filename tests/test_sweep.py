@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +49,13 @@ def _csv_reference(columns, rows) -> str:
     for row in rows:
         lines.append(",".join(f"{float(x):.17g}" for x in row))
     return "\n".join(lines) + "\n"
+
+
+def _strict_csv_text(columns, rows) -> str:
+    """Dataset CSV text, with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return Dataset(columns=columns, rows=rows, metadata={}).to_csv_text()
 
 
 def _assert_same_text(got: str, expected: str) -> None:
@@ -127,6 +136,39 @@ class TestRequestValidation:
             SweepRequest(u=1.0, v=0.5, eta=0.6, helicity_class=HelicityClass.UNEQUAL)
         with pytest.raises(ValueError):
             SweepRequest(u=0.5, v=0.5, eta=-0.2, helicity_class=HelicityClass.UNEQUAL)
+
+    @pytest.mark.parametrize("field", ["u", "v", "eta", "phi_min", "phi_max"])
+    @pytest.mark.parametrize(
+        "bad", [[0.5], np.array([0.5, 0.6]), 0.5 + 0j, "0.5", None], ids=repr
+    )
+    def test_non_real_scalar_gets_the_range_message(self, field, bad):
+        message = {
+            "u": r"u must satisfy 0 <= u < 1, got ",
+            "v": r"v must satisfy 0 <= v < 1, got ",
+            "eta": r"eta must lie in \[0, 2\*pi\), got ",
+            "phi_min": r"need 0 <= phi_min < phi_max <= pi, got \[",
+            "phi_max": r"need 0 <= phi_min < phi_max <= pi, got \[",
+        }[field]
+        kwargs = {"u": 0.5, "v": 0.5, "eta": 0.6, "helicity_class": HelicityClass.EQUAL_PLUS}
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match="^" + message):
+            SweepRequest(**kwargs)
+
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.float16(0.5), np.array(0.5)], ids=repr)
+    def test_real_zero_d_inputs_accepted(self, value):
+        request = SweepRequest(
+            u=value, v=value, eta=value, helicity_class=HelicityClass.UNEQUAL,
+            phi_min=value, phi_max=np.array(3.0), samples=5,
+        )
+        series = sweep_entanglement(request)
+        assert series.phi.shape == (5,)
+        meta = json.loads(json.dumps(series.to_json_dict()))["metadata"]
+        assert meta["u"] == meta["eta"] == meta["phi_min"] == 0.5 and meta["phi_max"] == 3.0
+
+    @pytest.mark.parametrize("bad", ["psi", None, 0], ids=repr)
+    def test_rejects_unknown_class(self, bad):
+        with pytest.raises(ValueError, match=rf"^unknown helicity class: {re.escape(repr(bad))}$"):
+            SweepRequest(u=0.5, v=0.5, eta=0.6, helicity_class=bad)
 
 
 class TestSweep:
@@ -368,6 +410,12 @@ class TestAngleSweepAndRegion:
         with pytest.raises(ValueError, match=r"^phi must lie in \(0, pi\), got \[+2\.5\]+$"):
             threshold_speed_region(bad, [0.9, 0.99])
 
+    @pytest.mark.parametrize("bad", [2.5 + 0j, np.complex128(2.5 + 1j), "2.5", None], ids=repr)
+    def test_threshold_region_refuses_non_real_phi(self, bad):
+        message = rf"^phi must lie in \(0, pi\), got {re.escape(str(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            threshold_speed_region(bad, [0.9, 0.99])
+
     def test_threshold_region_accepts_zero_d_phi(self):
         speeds = [0.9, 0.99, 0.999]
         assert np.array_equal(
@@ -546,6 +594,52 @@ class TestSerialization:
         rows = _random_bit_rows(np.random.default_rng(100 + nrows), nrows, 2)
         dataset = Dataset(columns=("a", "b"), rows=rows, metadata={})
         _assert_same_text(dataset.to_csv_text(), _csv_reference(("a", "b"), rows))
+
+    def test_in_range_corpus_matches_per_row_reference(self):
+        rng = np.random.default_rng(12)
+        n = 20_000  # rows; spans several chunks
+        columns = (
+            rng.uniform(0.0, math.pi, n),
+            10.0 ** rng.uniform(-4.5, 16.5, n),
+            rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-4.5, 16.5, n),
+        )
+        rows = np.column_stack(columns)
+        text = _strict_csv_text(("a", "b", "c"), rows)
+        _assert_same_text(text, _csv_reference(("a", "b", "c"), rows))
+
+    def test_fixed_notation_boundaries_and_powers_of_ten(self):
+        powers = np.array([float(f"1e{k}") for k in range(-5, 18)])
+        values = np.concatenate(
+            [
+                [np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e16, 0.0), 1e16],
+                np.nextafter(powers, 0.0),
+                powers,
+                np.nextafter(powers, np.inf),
+            ]
+        )
+        rows = np.concatenate([values, -values])[:, None]
+        _assert_same_text(_strict_csv_text(("x",), rows), _csv_reference(("x",), rows))
+
+    def test_tie_rounds_half_to_even(self):
+        tie = 1.0 + 2.0**-17  # exactly 1.00000762939453125
+        assert _strict_csv_text(("x",), np.array([[tie]])) == "x\n1.0000076293945312\n"
+
+    def test_rows_mixing_fixed_and_fallback_fields(self):
+        rows = np.array(
+            [[-0.0, 0.5, 1e300], [-2.5, 0.0, -1e-7], [math.nan, 123.25, -math.inf],
+             [5e-324, -0.000123, 9.999999999999999e15]]
+        )
+        text = _strict_csv_text(("a", "b", "c"), rows)
+        assert text.split("\n")[1] == "-0,0.5,1.0000000000000001e+300"
+        _assert_same_text(text, _csv_reference(("a", "b", "c"), rows))
+
+    @pytest.mark.parametrize("columns, width", [(("a", "b"), 3), ((), 0)])
+    def test_rows_must_match_the_header(self, columns, width):
+        message = (
+            rf"^need one column of values per name, got {width} for {re.escape(str(columns))}$"
+        )
+        with pytest.raises(ValueError, match=message):
+            Dataset(columns=columns, rows=np.zeros((2, width)), metadata={}).to_csv_text()
 
     def test_zero_row_table_is_the_header_alone(self):
         dataset = Dataset(columns=("u", "v", "ultra"), rows=np.empty((0, 3)), metadata={})
