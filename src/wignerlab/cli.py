@@ -8,7 +8,7 @@ angle, to file), figure (reference-figure datasets, to file), verify
 Angles are radians unless ``--degrees`` is given.  Exit codes: 0 on
 success, 1 on usage or validation errors, 2 when verification fails.
 Files are written atomically (temp file + rename), so no partial output
-is left behind on error.
+is left behind on error; CSV rows go to the temp file a chunk at a time.
 """
 
 from __future__ import annotations
@@ -41,12 +41,18 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write byte chunks to a temp file beside ``path``, then rename it over ``path``.
+
+    The chunks are written as they come.  Any exception, also one raised
+    by the chunks' producer after the first chunk, removes the temp file
+    and leaves ``path`` as it was.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wignerlab-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+        with open(fd, "wb") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -57,12 +63,12 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 
 def _write_table(table, fmt: str, path: str) -> None:
-    """Write a sweep or figure table atomically, as CSV text or indented JSON."""
+    """Write a sweep or figure table atomically, as streamed CSV or indented JSON."""
     if fmt == "csv":
-        text = table.to_csv_text()
+        chunks = table.csv_chunks()
     else:
-        text = json.dumps(table.to_json_dict(), indent=2) + "\n"
-    _atomic_write_text(path, text)
+        chunks = [(json.dumps(table.to_json_dict(), indent=2) + "\n").encode()]
+    _atomic_write(path, chunks)
 
 
 def _to_radians(value: float, degrees: bool) -> float:
@@ -113,7 +119,7 @@ def _cmd_boost(args) -> int:
     }
     text = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        _atomic_write_text(args.out, text)
+        _atomic_write(args.out, [text.encode()])
     print(text, end="")
     return EXIT_OK
 

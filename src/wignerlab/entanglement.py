@@ -176,11 +176,14 @@ def boosted_entropy_closed_form(eta, delta, helicity_class: HelicityClass):
 
     Binary entropy of p = (1 + gap)/2 with the class-dependent gap of
     :func:`_xi_factor`.  Continuously recovers the rest-frame entropy as
-    delta -> 0.  Accepts scalars or broadcastable arrays; non-finite
+    delta -> 0.  Accepts scalars, lists or broadcastable arrays; non-finite
     ``eta`` or ``delta`` raises ValueError.
     """
     _check_finite("eta", eta)
     _check_finite("delta", delta)
+    if not (isinstance(eta, float) and isinstance(delta, float)):
+        eta = np.asarray(eta, dtype=float)
+        delta = np.asarray(delta, dtype=float)
     _, gap = _xi_factor(eta, delta, helicity_class)
     h = -(_xlog2x(0.5 * (1.0 + gap)) + _xlog2x(0.5 * (1.0 - gap)))
     return _scalar_or_array(h + 0.0)

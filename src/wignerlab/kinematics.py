@@ -89,6 +89,14 @@ def _check_range(x, rule) -> None:
     raise ValueError(f"{message}, got {x}")
 
 
+def _is_real_scalar(x) -> bool:
+    """Whether x is a real 0-d number: a float, int, bool, real numpy scalar or 0-d array.
+
+    Complex numbers, strings and None are not.
+    """
+    return isinstance(x, float) or (np.ndim(x) == 0 and np.asarray(x).dtype.kind in "biuf")
+
+
 def _scalar_or_array(x):
     """Python float for a 0-d result, the array itself otherwise."""
     return float(x) if isinstance(x, float) or np.ndim(x) == 0 else x
@@ -229,7 +237,11 @@ def equal_speed_ultra_threshold(phi: float) -> float:
     only for phi in (pi/2, pi), where sin(phi) - cos(phi) > 1; outside
     that range (e.g. perpendicular boosts, phi = pi/2) the threshold is
     reachable only in the light-speed limit and ValueError is raised.
+    ``phi`` is a real scalar: a list, a sized array, a complex number, a
+    string or None gets the range message.
     """
+    if not _is_real_scalar(phi):
+        raise ValueError(f"{_PHI[2]}, got {phi}")
     _check_range(phi, _PHI)
     target = math.sin(phi) - math.cos(phi)
     if target <= 1.0:

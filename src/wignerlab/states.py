@@ -28,6 +28,8 @@ from enum import Enum
 
 import numpy as np
 
+from .kinematics import _is_real_scalar
+
 __all__ = [
     "AMPLITUDE_ORDER",
     "Frame",
@@ -111,14 +113,6 @@ def state_from_json_dict(payload: dict) -> SpinMomentumState:
         eta=payload.get("eta"),
         delta=payload.get("delta"),
     )
-
-
-def _is_real_scalar(x) -> bool:
-    """Whether x is a real 0-d number: a float, int, bool, real numpy scalar or 0-d array.
-
-    Complex numbers, strings and None are not.
-    """
-    return isinstance(x, float) or (np.ndim(x) == 0 and np.asarray(x).dtype.kind in "biuf")
 
 
 def _half_angle(delta) -> tuple[float, float, float]:

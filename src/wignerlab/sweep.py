@@ -20,10 +20,15 @@ endings; JSON as {"metadata": ..., "rows": ...}.  Identical inputs
 produce byte-identical text.  Every CSV field is exactly
 ``format(x, ".17g")``: fields with 1e-4 <= |x| < 1e16 come from exact
 integer arithmetic on arrays, and every other value goes through ``%``.
+The CSV comes out as byte chunks of ``_CSV_CHUNK_ROWS`` rows
+(``csv_chunks``), which the CLI writes into its temp file one at a time,
+so a sweep never holds its whole text in memory; ``to_csv_text`` joins
+them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field, replace
@@ -34,6 +39,7 @@ import numpy as np
 from ._version import __version__
 from .entanglement import boosted_entropy_closed_form
 from .kinematics import (
+    _is_real_scalar,
     argmax_boost_angle,
     equal_speed_ultra_threshold,
     speed_factor_d,
@@ -41,7 +47,7 @@ from .kinematics import (
     ultra_relativistic_condition,
     wigner_angle_tan_form,
 )
-from .states import HelicityClass, _is_real_scalar
+from .states import HelicityClass
 
 __all__ = [
     "Dataset",
@@ -58,10 +64,10 @@ __all__ = [
 ]
 
 _PLATEAU_TOL = 1e-14
-# Rows formatted per step.  A step's buffers take about 300 bytes per row;
-# at 4,096 rows they stay in cache, and the heap they leave resident is
-# small beside the text (at 65,536 rows it added about 50 MB to the peak
-# RSS of a 1,000,001-row sweep).
+# Rows formatted per step, and per chunk handed to the writer.  A step's
+# buffers take about 300 bytes per row; at 4,096 rows they stay in cache and
+# leave little heap resident (at 65,536 rows they added about 50 MB to the
+# peak RSS of a 1,000,001-row sweep).
 _CSV_CHUNK_ROWS = 4_096
 
 # CSV fields: exact "%.17g" with array arithmetic.
@@ -88,34 +94,24 @@ _CSV_CHUNK_ROWS = 4_096
 _CSV_SLOT = 48
 
 
-def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """"0000".."9999" as four ASCII bytes read as one uint32, and their trailing zeros.
+@functools.cache
+def _csv_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The formatter's lookup tables, built on the first CSV write.
 
-    0000 counts 16 trailing zeros, so that the minimum over the groups of
-    D of (zeros of the group + 4 * groups after it) counts them for all of D.
+    - ``"0000".."9999"`` as four ASCII bytes read as one uint32;
+    - their trailing zeros, with 16 for 0000, so that the minimum over the
+      groups of D of (zeros of the group + 4 * groups after it) counts them
+      for all of D;
+    - the keep-mask rows of the slot, indexed by
+      ``(E + 5) * 17 + trailing zeros``.  E runs over -5..16 because log10
+      can be one off for in-range values; those values go to the fallback,
+      which replaces their row.
     """
     digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # thousands .. units
     quads = (np.ascontiguousarray(digits.T) + ord("0")).view(np.uint32).ravel()
     trailing = np.logical_and.accumulate(digits[::-1] == 0).sum(axis=0)
     trailing[0] = 16
-    return quads, trailing
 
-
-_DIGIT_QUADS, _QUAD_TRAILING_ZEROS = _digit_tables()
-# 10**k for k = 16 - E in 0..21 is an exact double; Veltkamp's split into two
-# 26-bit halves is what Dekker's two-product needs.
-_POW10 = 10.0 ** np.arange(22)
-_VELTKAMP = 2.0**27 + 1.0
-_POW10_HI = _VELTKAMP * _POW10 - (_VELTKAMP * _POW10 - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
-
-
-def _csv_keep_table() -> np.ndarray:
-    """Keep-mask rows of the slot, indexed by ``(E + 5) * 17 + trailing zeros``.
-
-    E runs over -5..16 because log10 can be one off for in-range values;
-    those values go to the fallback, which replaces their row.
-    """
     e = np.arange(-5, 17)[:, None, None]
     last = 16 - np.arange(17)[None, :, None]  # index of the last nonzero digit
     col = np.arange(_CSV_SLOT)
@@ -126,20 +122,29 @@ def _csv_keep_table() -> np.ndarray:
         | (col >= 7) & (col <= 7 + np.where(below_one, last, e))
         | ~below_one & (last > e) & ((col == 31) | (col >= 32 + e) & (col <= 31 + last))
     )
-    return keep.reshape(-1, _CSV_SLOT)
+    tables = quads, trailing, keep.reshape(-1, _CSV_SLOT)
+    for table in tables:  # shared by every caller
+        table.flags.writeable = False
+    return tables
 
 
-_CSV_KEEP = _csv_keep_table()
+# 10**k for k = 16 - E in 0..21 is an exact double; Veltkamp's split into two
+# 26-bit halves is what Dekker's two-product needs.
+_POW10 = 10.0 ** np.arange(22)
+_VELTKAMP = 2.0**27 + 1.0
+_POW10_HI = _VELTKAMP * _POW10 - (_VELTKAMP * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
 # Keep-mask rows for fallback text of each length (at most 24 bytes).
 _CSV_FALLBACK_KEEP = np.arange(_CSV_SLOT) <= np.arange(25)[:, None]
 
 
-def _csv_fields(block: np.ndarray, heads: np.ndarray) -> np.ndarray:
+def _csv_fields(block: np.ndarray, heads: np.ndarray, tables: tuple) -> np.ndarray:
     """ASCII bytes of the ``%.17g`` fields of a block of rows, each after its separator.
 
     ``heads`` holds, per column, the slot's first four bytes: the
-    separator, "-" and "0.".
+    separator, "-" and "0.".  ``tables`` is :func:`_csv_tables`.
     """
+    quads, quad_trailing_zeros, keep_rows = tables
     x = block.ravel()
     a = np.abs(x)
     fixed = (a >= 1e-4) & (a < 1e16)  # NaN fails too
@@ -168,15 +173,15 @@ def _csv_fields(block: np.ndarray, heads: np.ndarray) -> np.ndarray:
     for col in (5, 4, 3, 2):  # d13..d16, d9..d12, d5..d8, d1..d4
         q = d // 10_000
         r = d - q * 10_000
-        words[:, col] = _DIGIT_QUADS[r]
-        trailing = np.minimum(trailing, 4 * (5 - col) + _QUAD_TRAILING_ZEROS[r])
+        words[:, col] = quads[r]
+        trailing = np.minimum(trailing, 4 * (5 - col) + quad_trailing_zeros[r])
         d = q
-    words[:, 1] = _DIGIT_QUADS[d]  # "000" d0
+    words[:, 1] = quads[d]  # "000" d0
     wide = words.view(np.uint64)
     wide[:, 4:6] = wide[:, 1:3]  # d1..d16 again, at bytes 32-47
     slots = words.view(np.uint8)
     slots[:, 31] = ord(".")
-    keep = _CSV_KEEP.take((e + 5) * 17 + trailing, axis=0)
+    keep = keep_rows.take((e + 5) * 17 + trailing, axis=0)
     keep[:, 1] = x < 0
 
     fallback = np.flatnonzero(~fixed)
@@ -194,8 +199,8 @@ def _csv_fields(block: np.ndarray, heads: np.ndarray) -> np.ndarray:
     return slots[keep]
 
 
-def _csv_text(header: tuple, columns) -> str:
-    """CSV text: the header line, then one ``%.17g`` field per value, LF-terminated.
+def _csv_chunks(header: tuple, columns):
+    """CSV as ASCII byte chunks: the header line, one ``%.17g`` field per value, LF-terminated.
 
     ``columns`` holds one 1-d array per header name.  Every field is
     exactly ``format(x, ".17g")``.  Values with ``1e-4 <= |x| < 1e16``
@@ -203,20 +208,20 @@ def _csv_text(header: tuple, columns) -> str:
     arrays; every other value (0, -0.0, subnormals, smaller or larger
     magnitudes, inf, NaN) and the rare value whose exponent estimate is
     off go through ``%``.  Rows are stacked and formatted
-    ``_CSV_CHUNK_ROWS`` at a time, which bounds the temporaries.
+    ``_CSV_CHUNK_ROWS`` at a time, one chunk each, so a writer that takes
+    the chunks as they come never holds the whole text.  A header that
+    does not match the columns raises ValueError before the first chunk.
     """
     columns = [np.asarray(column, dtype=float) for column in columns]
     if not header or len(columns) != len(header):
         raise ValueError(f"need one column of values per name, got {len(columns)} for {header}")
     heads = np.frombuffer(("\n-0." + ",-0." * (len(header) - 1)).encode("ascii"), np.uint32)
-    # One growing buffer, not a list of chunk strings: freed chunks would
-    # stay resident while the text is decoded.
-    text = bytearray(",".join(header).encode())
+    tables = _csv_tables()
+    yield ",".join(header).encode()
     for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
         block = np.column_stack([column[start : start + _CSV_CHUNK_ROWS] for column in columns])
-        text += _csv_fields(block, heads).data
-    text += b"\n"
-    return text.decode()
+        yield _csv_fields(block, heads, tables).data
+    yield b"\n"
 
 
 def _check_samples(samples) -> None:
@@ -289,8 +294,12 @@ class SweepSeries:
     def metadata(self) -> dict:
         return {**self.request.metadata(), "version": __version__, **self.extra_metadata}
 
+    def csv_chunks(self):
+        """The CSV file as ASCII byte chunks, a header and then ``_CSV_CHUNK_ROWS`` rows each."""
+        return _csv_chunks(("phi", "delta", "entropy_bits"), (self.phi, self.delta, self.entropy))
+
     def to_csv_text(self) -> str:
-        return _csv_text(("phi", "delta", "entropy_bits"), (self.phi, self.delta, self.entropy))
+        return b"".join(self.csv_chunks()).decode()
 
     def to_json_dict(self) -> dict:
         return {
@@ -307,8 +316,12 @@ class Dataset:
     rows: np.ndarray
     metadata: dict
 
+    def csv_chunks(self):
+        """The CSV file as ASCII byte chunks, a header and then ``_CSV_CHUNK_ROWS`` rows each."""
+        return _csv_chunks(self.columns, np.asarray(self.rows, dtype=float).T)
+
     def to_csv_text(self) -> str:
-        return _csv_text(self.columns, np.asarray(self.rows, dtype=float).T)
+        return b"".join(self.csv_chunks()).decode()
 
     def to_json_dict(self) -> dict:
         return {

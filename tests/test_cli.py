@@ -1,12 +1,17 @@
 """Tests for the command-line interface: outputs, exit codes, determinism."""
 
+import errno
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from wignerlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
+import wignerlab.sweep as sweep_module
+from wignerlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, _write_table, main
+from wignerlab.states import HelicityClass
+from wignerlab.sweep import _CSV_CHUNK_ROWS, SweepRequest, emit_figure, sweep_entanglement
 
 
 def _run(capsys, *argv):
@@ -193,6 +198,70 @@ class TestSweepCommand:
         ignored = tmp_path / "ignored.csv"
         assert _run(capsys, *args, "--out", str(ignored))[0] == EXIT_OK
         assert base.read_bytes() == ignored.read_bytes()
+
+
+class TestStreamedCsvWrite:
+    """CSV goes to the temp file a chunk at a time, with ``to_csv_text``'s bytes."""
+
+    SWEEP = ("sweep", "--u", "0.995", "--v", "0.995", "--eta", "0.6", "--class", "psi")
+
+    @staticmethod
+    def _series(samples):
+        return sweep_entanglement(
+            SweepRequest(
+                u=0.995, v=0.995, eta=0.6, helicity_class=HelicityClass.EQUAL_PLUS,
+                samples=samples,
+            )
+        )
+
+    @pytest.mark.parametrize(
+        "samples",
+        [2, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1, 2 * _CSV_CHUNK_ROWS + 1],
+    )
+    def test_sweep_writes_csv_text(self, capsys, tmp_path, samples):
+        out = tmp_path / "s.csv"
+        code, _, _ = _run(capsys, *self.SWEEP, "--samples", str(samples), "--out", str(out))
+        assert code == EXIT_OK
+        assert out.read_bytes() == self._series(samples).to_csv_text().encode()
+
+    def test_figure_writes_csv_text(self, capsys, tmp_path):
+        out = tmp_path / "1c.csv"
+        code, _, _ = _run(capsys, "figure", "--id", "1c", "--samples", "41", "--out", str(out))
+        assert code == EXIT_OK
+        assert out.read_bytes() == emit_figure("1c", samples=41).to_csv_text().encode()
+
+    def test_failure_after_first_chunk_keeps_target(self, tmp_path, monkeypatch):
+        target = tmp_path / "s.csv"
+        target.write_bytes(b"old bytes\n")
+        real_fields = sweep_module._csv_fields
+        calls, temp_sizes = [], []
+
+        def fields_then_disk_full(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                temp_sizes.extend(p.stat().st_size for p in tmp_path.glob(".wignerlab-*.tmp"))
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_fields(*args)
+
+        monkeypatch.setattr(sweep_module, "_csv_fields", fields_then_disk_full)
+        with pytest.raises(OSError) as exc:
+            main([*self.SWEEP, "--samples", str(2 * _CSV_CHUNK_ROWS + 1), "--out", str(target)])
+        assert exc.value.errno == errno.ENOSPC and len(calls) == 2
+        # The header and the first chunk had reached the temp file when the second failed.
+        assert len(temp_sizes) == 1 and temp_sizes[0] > _CSV_CHUNK_ROWS
+        assert target.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+
+    def test_write_memory_is_below_half_the_file(self, tmp_path):
+        series = self._series(200_001)
+        out = tmp_path / "s.csv"
+        tracemalloc.start()
+        try:
+            _write_table(series, "csv", str(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.stat().st_size / 2
 
 
 class TestFigureCommand:

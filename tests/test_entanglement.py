@@ -223,6 +223,17 @@ class TestBoostedEntropyClosedForm:
             _pipeline_entropy(HelicityClass.EQUAL_PLUS, 0.6, 0.3), abs=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "eta, delta",
+        [([0.5], [1.0]), ([0.5, 2.2], [1.0, 3.0]), ([0.5, 2.2], 1.0)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("cls", list(HelicityClass))
+    def test_lists_match_arrays(self, cls, eta, delta):
+        got = ent.boosted_entropy_closed_form(eta, delta, cls)
+        want = ent.boosted_entropy_closed_form(np.array(eta), np.array(delta), cls)
+        assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(17)
         for _ in range(300):

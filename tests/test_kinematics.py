@@ -263,6 +263,16 @@ class TestUltraGeometrySolves:
             with pytest.raises(ValueError):
                 kin.equal_speed_ultra_threshold(phi)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [[2.5], np.array([2.5]), np.array([[2.5]]), 2.5 + 0j, np.complex128(2.5 + 1j), "2.5", None],
+        ids=repr,
+    )
+    def test_threshold_refuses_non_scalar_phi(self, bad):
+        message = rf"^boosting angle must lie in \[0, pi\], got {re.escape(str(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            kin.equal_speed_ultra_threshold(bad)
+
     def test_phi_interval(self):
         lo, hi = kin.ultra_phi_interval(0.995, 0.995)
         assert lo == pytest.approx(1.82860523174277, abs=1e-12)
