@@ -6,7 +6,8 @@ angle, to file), figure (reference-figure datasets, to file), verify
 (the invariant suite).
 
 Angles are radians unless ``--degrees`` is given.  Exit codes: 0 on
-success, 1 on usage or validation errors, 2 when verification fails.
+success, 1 on usage or validation errors and on an output file that
+cannot be written, 2 when verification fails.
 Files are written atomically (temp file + rename), so no partial output
 is left behind on error; CSV rows go to the temp file a chunk at a time.
 """
@@ -14,6 +15,7 @@ is left behind on error; CSV rows go to the temp file a chunk at a time.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -46,20 +48,22 @@ def _atomic_write(path: str, chunks) -> None:
 
     The chunks are written as they come.  Any exception, also one raised
     by the chunks' producer after the first chunk, removes the temp file
-    and leaves ``path`` as it was.
+    and leaves ``path`` as it was.  An ``OSError`` comes out as a
+    ValueError that names ``path``, so the CLI reports it in one line.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wignerlab-", suffix=".tmp")
     try:
-        with open(fd, "wb") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wignerlab-", suffix=".tmp")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with open(fd, "wb") as fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValueError(f"cannot write '{path}': {exc.strerror or exc}") from exc
 
 
 def _write_table(table, fmt: str, path: str) -> None:
@@ -177,9 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_angle.add_argument("--u", type=float, required=True, help="particle speed, units of c")
     p_angle.add_argument("--v", type=float, required=True, help="observer speed, units of c")
     p_angle.add_argument("--phi", type=float, required=True, help="boosting angle in [0, pi]")
-    p_angle.add_argument(
-        "--method", choices=("cos", "tan", "matrix", "all"), default="all"
-    )
+    p_angle.add_argument("--method", choices=(*_ANGLE_METHODS, "all"), default="all")
     p_angle.add_argument("--degrees", action="store_true", help="angle inputs in degrees")
     p_angle.set_defaults(func=_cmd_angle)
 

@@ -23,7 +23,7 @@ string or None is refused with the range message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -205,12 +205,10 @@ def local_unitary_psi_to_psitilde(state: SpinMomentumState) -> SpinMomentumState
     (a0, a1, a2, a3) -> (-a1, a0, a3, -a2).
     """
     a0, a1, a2, a3 = state.amplitudes.tolist()
-    return SpinMomentumState(
+    return replace(
+        state,
         amplitudes=[-a1, a0, a3, -a2],
-        frame=state.frame,
         helicity_class=_SWAP_EQUAL.get(state.helicity_class),
-        eta=state.eta,
-        delta=state.delta,
     )
 
 
@@ -231,10 +229,4 @@ def controlled_u_psi_to_xi(state: SpinMomentumState) -> SpinMomentumState:
         if state.helicity_class is HelicityClass.EQUAL_PLUS
         else None
     )
-    return SpinMomentumState(
-        amplitudes=[a0, a1, a3, -a2],
-        frame=state.frame,
-        helicity_class=new_class,
-        eta=state.eta,
-        delta=state.delta,
-    )
+    return replace(state, amplitudes=[a0, a1, a3, -a2], helicity_class=new_class)

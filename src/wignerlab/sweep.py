@@ -224,18 +224,18 @@ def _csv_chunks(header: tuple, columns):
     yield b"\n"
 
 
-def _check_samples(samples) -> None:
-    """ValueError unless ``samples`` is an integer >= 2.
+def _check_count(name: str, value, least: int) -> None:
+    """ValueError unless ``value`` is an integer >= ``least``.
 
     A float is refused even when integral: ``np.linspace`` would raise
     TypeError on it later, and inf or NaN would overflow ``int()``.
     """
     try:
-        ok = operator.index(samples) >= 2
+        ok = operator.index(value) >= least
     except TypeError:
         ok = False
     if not ok:
-        raise ValueError(f"samples must be an integer >= 2, got {samples}")
+        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -267,7 +267,7 @@ class SweepRequest:
             raise ValueError(
                 f"need 0 <= phi_min < phi_max <= pi, got [{self.phi_min}, {self.phi_max}]"
             )
-        _check_samples(self.samples)
+        _check_count("samples", self.samples, 2)
 
     def metadata(self) -> dict:
         return {
@@ -491,7 +491,7 @@ def emit_figure(figure_id: str, samples: int | None = None):
     after curve along the rows.
     """
     if samples is not None:
-        _check_samples(samples)
+        _check_count("samples", samples, 2)
 
     if figure_id in ("3a", "3c"):
         speed = _FIG3A_SPEED if figure_id == "3a" else _FIG3C_SPEED

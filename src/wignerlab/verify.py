@@ -14,7 +14,6 @@ failure), or :func:`run_all` directly.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,6 +171,11 @@ def _check_argmax(n: int, rng) -> list[tuple]:
 _ALL_CLASSES = tuple(HelicityClass)  # EQUAL_PLUS, EQUAL_MINUS, UNEQUAL
 
 
+def _amplitude_gap(a, b) -> float:
+    """Largest modulus of the difference of two amplitude vectors."""
+    return float(np.abs(a - b).max())
+
+
 def _check_states(n: int, rng) -> list[tuple]:
     draws = max(100, 2 * n)
     worst_norm = worst_identity = worst_regression = 0.0
@@ -192,38 +196,23 @@ def _check_states(n: int, rng) -> list[tuple]:
                 worst_norm, abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0)
             )
         frozen = st.boost_state(rest, 0.0)
-        worst_identity = max(
-            worst_identity, float(np.abs(frozen.amplitudes - rest.amplitudes).max())
-        )
+        worst_identity = max(worst_identity, _amplitude_gap(frozen.amplitudes, rest.amplitudes))
 
         psi_b = st.boost_state(st.prepare_state(HelicityClass.EQUAL_PLUS, eta), delta)
         c, s = math.cos(eta), math.sin(eta)
         ch, sh = math.cos(delta / 2.0), math.sin(delta / 2.0)
         reference = np.array([c * ch, -c * sh, -s * sh, s * ch], dtype=complex)
-        worst_regression = max(
-            worst_regression, float(np.abs(psi_b.amplitudes - reference).max())
-        )
+        worst_regression = max(worst_regression, _amplitude_gap(psi_b.amplitudes, reference))
 
         psitilde_b = st.boost_state(
             st.prepare_state(HelicityClass.EQUAL_MINUS, eta), delta
         )
-        worst_local = max(
-            worst_local,
-            float(
-                np.abs(
-                    st.local_unitary_psi_to_psitilde(psi_b).amplitudes
-                    - psitilde_b.amplitudes
-                ).max()
-            ),
-        )
+        local = st.local_unitary_psi_to_psitilde(psi_b)
+        worst_local = max(worst_local, _amplitude_gap(local.amplitudes, psitilde_b.amplitudes))
         xi_b = st.boost_state(st.prepare_state(HelicityClass.UNEQUAL, eta), delta)
+        controlled = st.controlled_u_psi_to_xi(psi_b)
         worst_controlled = max(
-            worst_controlled,
-            float(
-                np.abs(
-                    st.controlled_u_psi_to_xi(psi_b).amplitudes - xi_b.amplitudes
-                ).max()
-            ),
+            worst_controlled, _amplitude_gap(controlled.amplitudes, xi_b.amplitudes)
         )
         worst_equal_entropy = max(
             worst_equal_entropy,
@@ -403,12 +392,7 @@ _CHECKS = (
 
 def run_all(grid: int = 50, tolerances: dict | None = None) -> list[CheckResult]:
     """Run every check; ``tolerances`` overrides defaults by check name."""
-    try:
-        ok = operator.index(grid) >= 3
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ValueError(f"grid must be an integer >= 3, got {grid}")
+    sw._check_count("grid", grid, 3)
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(tols)

@@ -1,17 +1,30 @@
 """Tests for the command-line interface: outputs, exit codes, determinism."""
 
+import contextlib
 import errno
+import io
 import json
+import math
+import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import wignerlab.sweep as sweep_module
 from wignerlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, _write_table, main
 from wignerlab.states import HelicityClass
-from wignerlab.sweep import _CSV_CHUNK_ROWS, SweepRequest, emit_figure, sweep_entanglement
+from wignerlab.sweep import (
+    _CSV_CHUNK_ROWS,
+    FIGURE_IDS,
+    SweepRequest,
+    emit_figure,
+    sweep_entanglement,
+)
 
 
 def _run(capsys, *argv):
@@ -230,7 +243,7 @@ class TestStreamedCsvWrite:
         assert code == EXIT_OK
         assert out.read_bytes() == emit_figure("1c", samples=41).to_csv_text().encode()
 
-    def test_failure_after_first_chunk_keeps_target(self, tmp_path, monkeypatch):
+    def test_failure_after_first_chunk_keeps_target(self, capsys, tmp_path, monkeypatch):
         target = tmp_path / "s.csv"
         target.write_bytes(b"old bytes\n")
         real_fields = sweep_module._csv_fields
@@ -244,9 +257,11 @@ class TestStreamedCsvWrite:
             return real_fields(*args)
 
         monkeypatch.setattr(sweep_module, "_csv_fields", fields_then_disk_full)
-        with pytest.raises(OSError) as exc:
-            main([*self.SWEEP, "--samples", str(2 * _CSV_CHUNK_ROWS + 1), "--out", str(target)])
-        assert exc.value.errno == errno.ENOSPC and len(calls) == 2
+        code, _, err = _run(
+            capsys, *self.SWEEP, "--samples", str(2 * _CSV_CHUNK_ROWS + 1), "--out", str(target)
+        )
+        assert code == EXIT_USAGE and len(calls) == 2
+        assert "No space left on device" in err
         # The header and the first chunk had reached the temp file when the second failed.
         assert len(temp_sizes) == 1 and temp_sizes[0] > _CSV_CHUNK_ROWS
         assert target.read_bytes() == b"old bytes\n"
@@ -262,6 +277,102 @@ class TestStreamedCsvWrite:
         finally:
             tracemalloc.stop()
         assert peak < out.stat().st_size / 2
+
+
+def _tree(root):
+    """{relative path: bytes, or None for a directory} of everything under ``root``."""
+    return {p.relative_to(root): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
+class TestWriteErrors:
+    """An --out that cannot be written exits 1 with one line naming it, and changes no file."""
+
+    COMMANDS = {
+        "sweep": ("sweep", "--u", "0.95", "--v", "0.95", "--eta", "0.6", "--class", "psi"),
+        "figure": ("figure", "--id", "3b", "--samples", "41"),
+        "boost": ("boost", "--class", "psi", "--eta", "0.6", "--delta", "0.3"),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize(
+        "target, reason",
+        [
+            (os.path.join("missing", "out.csv"), os.strerror(errno.ENOENT)),
+            ("folder", os.strerror(errno.EISDIR)),
+        ],
+        ids=["missing-directory", "names-a-directory"],
+    )
+    def test_unwritable_out(self, capsys, tmp_path, command, target, reason):
+        (tmp_path / "folder").mkdir()
+        (tmp_path / "folder" / "old.csv").write_bytes(b"old bytes\n")
+        (tmp_path / "old.csv").write_bytes(b"old bytes\n")
+        before = _tree(tmp_path)
+        out = str(tmp_path / target)
+        code, stdout, err = _run(capsys, *self.COMMANDS[command], "--out", out)
+        assert code == EXIT_USAGE
+        assert err.splitlines() == [f"wignerlab: error: cannot write '{out}': {reason}"]
+        assert stdout == ""
+        # No temp file is left, and the files already there keep their bytes.
+        assert _tree(tmp_path) == before
+
+
+# Floats for every numeric option: NaN, +-inf, +-0, subnormals and huge
+# values, plus draws from the valid ranges so that some calls succeed.
+_ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2.0 * math.pi),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e308, -1e308, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def _cli_argv(draw):
+    """argv of one angle, boost, sweep or figure call; sweep and figure still need --out."""
+
+    def options(*names):
+        # "--name=value" keeps argparse from reading "-inf" or "-1e-300" as an option.
+        return [f"--{name}={draw(_ANY_FLOAT)!r}" for name in names]
+
+    helicity_class = ["--class", draw(st.sampled_from([c.value for c in HelicityClass]))]
+    samples = ["--samples", str(draw(st.integers(2, 50)))]
+    degrees = draw(st.sampled_from([[], ["--degrees"]]))
+    fmt = draw(st.sampled_from([[], ["--format", "json"]]))
+    command = draw(st.sampled_from(["angle", "boost", "boost-geometry", "sweep", "figure"]))
+    if command == "angle":
+        method = draw(st.sampled_from(["cos", "tan", "matrix", "all"]))
+        return ["angle", *options("u", "v", "phi"), "--method", method, *degrees]
+    if command == "boost":
+        return ["boost", *helicity_class, *options("eta", "delta"), *degrees]
+    if command == "boost-geometry":
+        return ["boost", *helicity_class, *options("eta", "u", "v", "phi"), *degrees]
+    if command == "sweep":
+        geometry = options("u", "v", "eta", "phi-min", "phi-max")
+        return ["sweep", *helicity_class, *geometry, *samples, *degrees, *fmt]
+    return ["figure", "--id", draw(st.sampled_from(FIGURE_IDS)), *samples, *fmt]
+
+
+class TestCliProperty:
+    @given(_cli_argv())
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_exits_zero_or_one_and_never_raises(self, tmp_path, argv):
+        """Under warnings-as-errors every call returns 0 or 1; an error is one stderr line."""
+        if argv[0] in ("sweep", "figure"):
+            argv = [*argv, "--out", str(tmp_path / "out")]
+        stderr = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            with contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        lines = stderr.getvalue().splitlines()
+        if code == EXIT_OK:
+            assert lines == []
+        else:
+            assert code == EXIT_USAGE
+            assert len(lines) == 1 and lines[0].startswith("wignerlab: error: ")
+        assert not list(tmp_path.glob(".wignerlab-*.tmp"))
 
 
 class TestFigureCommand:
