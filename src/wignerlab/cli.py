@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import math
 import os
@@ -51,6 +52,8 @@ def _atomic_write(path: str, chunks) -> None:
     and leaves ``path`` as it was.  An ``OSError`` comes out as a
     ValueError that names ``path``, so the CLI reports it in one line.
     """
+    if not path:  # abspath would turn "" into the working directory itself
+        raise ValueError(f"cannot write '': {os.strerror(errno.ENOENT)}")
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wignerlab-", suffix=".tmp")
@@ -122,7 +125,7 @@ def _cmd_boost(args) -> int:
         "entropy_boosted_bits": boosted_entropy_closed_form(eta, delta, helicity_class),
     }
     text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
+    if args.out is not None:
         _atomic_write(args.out, [text.encode()])
     print(text, end="")
     return EXIT_OK

@@ -48,8 +48,24 @@ _EIGENVALUE_FLOOR = -1e-9
 
 
 def _check_finite(name: str, x) -> None:
-    if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
-        raise ValueError(f"{name} must be finite, got {x}")
+    """Raise ValueError unless x is finite everywhere and real (bool, integer or float)."""
+    if isinstance(x, float):
+        if math.isfinite(x):
+            return
+    else:
+        x = np.asarray(x)
+        if x.dtype.kind in "biuf" and np.isfinite(x).all():
+            return
+    raise ValueError(f"{name} must be finite, got {x}")
+
+
+def _finite_angles(eta, delta):
+    """Checked (eta, delta): unchanged when both are floats, float64 arrays otherwise."""
+    _check_finite("eta", eta)
+    _check_finite("delta", delta)
+    if isinstance(eta, float) and isinstance(delta, float):
+        return eta, delta
+    return np.asarray(eta, dtype=float), np.asarray(delta, dtype=float)
 
 
 def reduced_density_matrix(state: SpinMomentumState, keep: str = "spin") -> np.ndarray:
@@ -179,11 +195,7 @@ def boosted_entropy_closed_form(eta, delta, helicity_class: HelicityClass):
     delta -> 0.  Accepts scalars, lists or broadcastable arrays; non-finite
     ``eta`` or ``delta`` raises ValueError.
     """
-    _check_finite("eta", eta)
-    _check_finite("delta", delta)
-    if not (isinstance(eta, float) and isinstance(delta, float)):
-        eta = np.asarray(eta, dtype=float)
-        delta = np.asarray(delta, dtype=float)
+    eta, delta = _finite_angles(eta, delta)
     _, gap = _xi_factor(eta, delta, helicity_class)
     h = -(_xlog2x(0.5 * (1.0 + gap)) + _xlog2x(0.5 * (1.0 - gap)))
     return _scalar_or_array(h + 0.0)
@@ -209,11 +221,7 @@ def boosted_entropy_derivative(eta, delta):
     eta); both limits equal 0 and are returned as such.  Non-finite
     ``eta`` or ``delta`` raises ValueError.
     """
-    _check_finite("eta", eta)
-    _check_finite("delta", delta)
-    if not (isinstance(eta, float) and isinstance(delta, float)):
-        eta = np.asarray(eta, dtype=float)
-        delta = np.asarray(delta, dtype=float)
+    eta, delta = _finite_angles(eta, delta)
     s2, gap = _xi_factor(eta, delta, HelicityClass.EQUAL_PLUS)
     if isinstance(gap, float):
         return float(_slope(delta, s2, gap) + 0.0) if 0.0 < gap < 1.0 else 0.0
@@ -234,9 +242,11 @@ def entanglement_difference_bound(eta, delta, helicity_class: HelicityClass):
 
         difference >= bound = sin^2(2 eta) sin^2(delta) / (2 ln 2) >= 0.
 
-    Non-finite ``eta`` or ``delta`` raises ValueError (checked by the two
-    entropies it is built from).
+    Accepts scalars, lists or broadcastable arrays, like the two
+    entropies it is built from; non-finite ``eta`` or ``delta`` raises
+    ValueError.
     """
+    eta, delta = _finite_angles(eta, delta)
     rest = rest_frame_entropy(eta, helicity_class)
     boosted = boosted_entropy_closed_form(eta, delta, helicity_class)
     if helicity_class is HelicityClass.UNEQUAL:

@@ -75,8 +75,8 @@ _PHI = (operator.le, math.pi, "boosting angle must lie in [0, pi]")
 def _check_range(x, rule) -> None:
     """Raise ValueError unless 0 <= x and ``below(x, upper)`` hold everywhere.
 
-    A float is tested with plain comparisons, anything else elementwise
-    as an array; NaN fails every comparison either way.
+    A float is tested with plain comparisons, anything else elementwise as
+    a real (bool, integer or float) array; NaN fails every comparison.
     """
     below, upper, message = rule
     if isinstance(x, float):
@@ -84,7 +84,7 @@ def _check_range(x, rule) -> None:
             return
     else:
         x = np.asarray(x)
-        if ((x >= 0.0) & below(x, upper)).all():
+        if x.dtype.kind in "biuf" and ((x >= 0.0) & below(x, upper)).all():
             return
     raise ValueError(f"{message}, got {x}")
 
@@ -107,17 +107,6 @@ def _clip(x, upper):
     if isinstance(x, float):
         return min(max(x, 0.0), upper)
     return np.clip(x, 0.0, upper)
-
-
-def _clip_zero_collinear(x, phi, upper):
-    """x clipped into [0, upper], and exactly 0 where phi is 0 or pi.
-
-    The float value of pi counts as exactly collinear.
-    """
-    if isinstance(x, float):
-        return 0.0 if phi == 0.0 or phi == math.pi else _clip(x, upper)
-    phi = np.asarray(phi)
-    return np.where((phi == 0.0) | (phi == math.pi), 0.0, _clip(x, upper))
 
 
 def _gamma(u):
@@ -167,35 +156,28 @@ def wigner_angle_cos_form(u, v, phi):
     which otherwise costs ~8 digits for small rotation angles.  The two
     expressions are algebraically identical.
 
-    Returns delta in [0, pi]; exactly 0 for u = 0, v = 0, phi = 0 or
-    phi = pi (the float value of pi is treated as exactly collinear).
+    Returns delta in [0, pi], never -0.0: exactly +0 for u = 0, v = 0, phi = 0
+    or phi = pi (the float value of pi is treated as exactly collinear).
     """
-    _check_range(u, _U)
-    _check_range(v, _V)
-    _check_range(phi, _PHI)
-    if not (isinstance(u, float) and isinstance(v, float)):
-        v = np.asarray(v)  # u * v must broadcast even for two lists
+    u, v, (sin_phi, _, cos_phi) = _standard_geometry(u, v, phi)
     gu, gv = _gamma(u), _gamma(v)
-    w = gu * gv * (1.0 + u * v * np.cos(phi))
+    w = gu * gv * (1.0 + u * v * cos_phi)
     den = (gu + 1.0) * (gv + 1.0) * (w + 1.0)
-    sin_half = gu * gv * u * v * np.sin(phi) / np.sqrt(2.0 * den)
-    return _scalar_or_array(2.0 * np.arcsin(_clip_zero_collinear(sin_half, phi, 1.0)))
+    sin_half = gu * gv * u * v * sin_phi / np.sqrt(2.0 * den)
+    return _scalar_or_array(2.0 * np.arcsin(_clip(sin_half, 1.0)) + 0.0)  # + 0.0: no -0.0
 
 
 def wigner_angle_tan_form(u, v, phi):
     """Rotation angle from the tangent half-angle form.
 
-    tan(delta/2) = sin(phi) / (cos(phi) + D), evaluated with the
-    two-argument arctangent so that cos(phi) + D ~ 0 (deep
-    ultra-relativistic regime, phi near pi) needs no special casing.
-    Degenerate speeds give D = +inf and hence delta = 0.
-
-    Returns delta in [0, pi]; exactly 0 for phi = 0 or phi = pi.
+    tan(delta/2) = sin(phi) / (cos(phi) + D), by the two-argument
+    arctangent.  No clip is needed: cos(phi) + D >= D - 1 > 0 and
+    sin(phi) >= +0, so delta lies in [0, pi).  Degenerate speeds give
+    D = +inf and hence delta = 0; so do phi = 0 and phi = pi (the float
+    value of pi is treated as exactly collinear).
     """
-    _check_range(phi, _PHI)
-    d = speed_factor_d(u, v)
-    delta = 2.0 * np.arctan2(np.sin(phi), np.cos(phi) + d)
-    return _scalar_or_array(_clip_zero_collinear(delta, phi, math.pi))
+    u, v, (sin_phi, _, cos_phi) = _standard_geometry(u, v, phi)
+    return _scalar_or_array(2.0 * np.arctan2(sin_phi, cos_phi + speed_factor_d(u, v)))
 
 
 def argmax_boost_angle(u, v):
@@ -382,16 +364,6 @@ class BoostComposition(NamedTuple):
 _AXIAL_ROWS, _AXIAL_COLS = np.array([2, 0, 1]), np.array([1, 2, 0])
 
 
-def _axial_vector(r3: np.ndarray) -> np.ndarray:
-    """(r32 - r23, r13 - r31, r21 - r12) of (..., 3, 3) matrices, shape (..., 3)."""
-    return (r3 - r3.swapaxes(-1, -2))[..., _AXIAL_ROWS, _AXIAL_COLS]
-
-
-def _norm(vec: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis."""
-    return np.sqrt(np.einsum("...i,...i->...", vec, vec))
-
-
 def compose_boosts(first, second) -> BoostComposition:
     """Compose two pure boosts and factor the product as boost x rotation.
 
@@ -447,8 +419,9 @@ def rotation_axis(rotation: np.ndarray) -> np.ndarray:
     """
     rotation = np.asarray(rotation, dtype=float)
     r3 = rotation[..., 1:, 1:] if rotation.shape[-2:] == (4, 4) else rotation
-    vec = _axial_vector(r3)
-    norm = _norm(vec)[..., None]
+    # axial vector (r32 - r23, r13 - r31, r21 - r12)
+    vec = (r3 - r3.swapaxes(-1, -2))[..., _AXIAL_ROWS, _AXIAL_COLS]
+    norm = np.sqrt(np.einsum("...i,...i->...", vec, vec))[..., None]
     defined = norm >= 1e-12
     return np.where(defined, vec / np.where(defined, norm, 1.0), 0.0)
 
@@ -457,15 +430,21 @@ def _standard_geometry(u, v, phi):
     """Validated u and v, and the unit direction (sin phi, 0, cos phi) of v.
 
     Floats stay floats when all three are floats; otherwise all three
-    become arrays.  The float value of pi counts as exactly collinear:
-    there sin phi is exactly 0.
+    become float64 arrays.  sin phi is exactly +0 at phi = 0 (also -0.0)
+    and at the float value of pi, which counts as exactly collinear, and
+    so does np.float32(pi), which passes the range check but lies above
+    pi in float64; elsewhere on [0, pi] sin phi lies in [0, 1] unclipped.
     """
     _check_range(u, _U)
     _check_range(v, _V)
     _check_range(phi, _PHI)
-    if not (isinstance(u, float) and isinstance(v, float) and isinstance(phi, float)):
+    if isinstance(u, float) and isinstance(v, float) and isinstance(phi, float):
+        sin_phi = 0.0 if phi == 0.0 or phi == math.pi else np.sin(phi)
+    else:
         u, v, phi = (np.asarray(x, dtype=float) for x in (u, v, phi))
-    return u, v, (_clip_zero_collinear(np.sin(phi), phi, 1.0), 0.0, np.cos(phi))
+        # masked in place: np.where would hold a second full-size sin array
+        sin_phi = np.sin(phi, out=np.zeros_like(phi), where=(phi != 0.0) & (phi < math.pi))
+    return u, v, (sin_phi, 0.0, np.cos(phi))
 
 
 def standard_boost_vectors(u, v, phi) -> tuple[np.ndarray, np.ndarray]:

@@ -451,11 +451,17 @@ def find_local_extrema(series: SweepSeries) -> list[Extremum]:
 
 
 def threshold_speed_region(phi: float, u_speeds, v_speeds=None) -> np.ndarray:
-    """Boolean matrix over (u, v): True where delta(u, v, phi) >= pi/2."""
+    """Boolean matrix over (u, v): True where delta(u, v, phi) >= pi/2.
+
+    ``u_speeds`` and ``v_speeds`` (default ``u_speeds``) are 1-d; other shapes raise ValueError.
+    """
     if not (_is_real_scalar(phi) and 0.0 < phi < math.pi):
         raise ValueError(f"phi must lie in (0, pi), got {phi}")
     u = np.asarray(u_speeds, dtype=float)
     v = u if v_speeds is None else np.asarray(v_speeds, dtype=float)
+    for name, speeds in (("u_speeds", u), ("v_speeds", v)):
+        if speeds.ndim != 1:
+            raise ValueError(f"{name} must be 1-d, got shape {speeds.shape}")
     return ultra_relativistic_condition(u[:, None], v[None, :], phi)
 
 

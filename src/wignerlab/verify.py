@@ -78,6 +78,11 @@ def _angle_grid(n: int, lo: float = 0.01, hi: float = 0.99):
     return np.meshgrid(speeds, speeds, phis, indexing="ij")
 
 
+def _max_gap(a, b) -> float:
+    """Largest modulus of the elementwise difference a - b."""
+    return float(np.abs(a - b).max())
+
+
 def _check_angle_forms(n: int, rng) -> list[tuple]:
     u, v, p = _angle_grid(n)
     d_cos = kin.wigner_angle_cos_form(u, v, p)
@@ -87,11 +92,9 @@ def _check_angle_forms(n: int, rng) -> list[tuple]:
     )
     m = min(n, 30)
     uh, vh, ph = _angle_grid(m, 0.9, 0.9999)
-    high = np.abs(
-        kin.wigner_angle_cos_form(uh, vh, ph) - kin.wigner_angle_tan_form(uh, vh, ph)
-    ).max()
+    high = _max_gap(kin.wigner_angle_cos_form(uh, vh, ph), kin.wigner_angle_tan_form(uh, vh, ph))
     return [
-        ("angle_forms_agree", f"{n}x{n}x{n}", np.abs(d_cos - d_tan).max()),
+        ("angle_forms_agree", f"{n}x{n}x{n}", _max_gap(d_cos, d_tan)),
         ("ultra_condition_matches_angle", f"{n}x{n}x{n}", mism),
         ("angle_forms_agree_high_speed", f"{m}x{m}x{m} (u,v in [0.9, 0.9999])", high),
     ]
@@ -118,11 +121,9 @@ def _check_degenerate_zero(n: int, rng) -> list[tuple]:
 
 def _check_matrix_oracle(n: int, rng) -> list[tuple]:
     m = min(n, 20)
-    speeds = np.linspace(0.01, 0.99, m)
-    phis = np.linspace(0.0, math.pi, m)
-    u, v, phi = np.meshgrid(speeds, speeds, phis, indexing="ij")
+    u, v, phi = _angle_grid(m)
     boost, rotation, angle = kin.compose_boosts(*kin.standard_boost_vectors(u, v, phi))
-    worst_angle = np.abs(angle - kin.wigner_angle_tan_form(u, v, phi)).max()
+    worst_angle = _max_gap(angle, kin.wigner_angle_tan_form(u, v, phi))
     # The absolute residual floor is ~gamma^2 * eps from entry rounding
     # alone, so the 1e-12 form is only meaningful at moderate composed
     # gammas; the scaled residual covers the rest of the grid.
@@ -171,11 +172,6 @@ def _check_argmax(n: int, rng) -> list[tuple]:
 _ALL_CLASSES = tuple(HelicityClass)  # EQUAL_PLUS, EQUAL_MINUS, UNEQUAL
 
 
-def _amplitude_gap(a, b) -> float:
-    """Largest modulus of the difference of two amplitude vectors."""
-    return float(np.abs(a - b).max())
-
-
 def _check_states(n: int, rng) -> list[tuple]:
     draws = max(100, 2 * n)
     worst_norm = worst_identity = worst_regression = 0.0
@@ -196,24 +192,22 @@ def _check_states(n: int, rng) -> list[tuple]:
                 worst_norm, abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0)
             )
         frozen = st.boost_state(rest, 0.0)
-        worst_identity = max(worst_identity, _amplitude_gap(frozen.amplitudes, rest.amplitudes))
+        worst_identity = max(worst_identity, _max_gap(frozen.amplitudes, rest.amplitudes))
 
         psi_b = st.boost_state(st.prepare_state(HelicityClass.EQUAL_PLUS, eta), delta)
         c, s = math.cos(eta), math.sin(eta)
         ch, sh = math.cos(delta / 2.0), math.sin(delta / 2.0)
         reference = np.array([c * ch, -c * sh, -s * sh, s * ch], dtype=complex)
-        worst_regression = max(worst_regression, _amplitude_gap(psi_b.amplitudes, reference))
+        worst_regression = max(worst_regression, _max_gap(psi_b.amplitudes, reference))
 
         psitilde_b = st.boost_state(
             st.prepare_state(HelicityClass.EQUAL_MINUS, eta), delta
         )
         local = st.local_unitary_psi_to_psitilde(psi_b)
-        worst_local = max(worst_local, _amplitude_gap(local.amplitudes, psitilde_b.amplitudes))
+        worst_local = max(worst_local, _max_gap(local.amplitudes, psitilde_b.amplitudes))
         xi_b = st.boost_state(st.prepare_state(HelicityClass.UNEQUAL, eta), delta)
         controlled = st.controlled_u_psi_to_xi(psi_b)
-        worst_controlled = max(
-            worst_controlled, _amplitude_gap(controlled.amplitudes, xi_b.amplitudes)
-        )
+        worst_controlled = max(worst_controlled, _max_gap(controlled.amplitudes, xi_b.amplitudes))
         worst_equal_entropy = max(
             worst_equal_entropy,
             abs(
@@ -280,30 +274,24 @@ def _check_entropy_analytics(n: int, rng) -> list[tuple]:
             etas, deltas - step, HelicityClass.EQUAL_PLUS
         )
     ) / (2.0 * step)
-    worst_fd = np.abs(ent.boosted_entropy_derivative(etas, deltas) - fd).max()
+    worst_fd = _max_gap(ent.boosted_entropy_derivative(etas, deltas), fd)
 
     # duality: equal(eta, delta) == unequal(eta, pi/2 - delta) on [0, pi/2]
     d_half = np.linspace(0.0, math.pi / 2.0, 200)[None, :]
-    dual = np.abs(
-        ent.boosted_entropy_closed_form(etas, d_half, HelicityClass.EQUAL_PLUS)
-        - ent.boosted_entropy_closed_form(
-            etas, math.pi / 2.0 - d_half, HelicityClass.UNEQUAL
-        )
+    dual = _max_gap(
+        ent.boosted_entropy_closed_form(etas, d_half, HelicityClass.EQUAL_PLUS),
+        ent.boosted_entropy_closed_form(etas, math.pi / 2.0 - d_half, HelicityClass.UNEQUAL),
     )
 
     # reflection symmetry delta <-> pi - delta, both classes
     d_full = np.linspace(0.0, math.pi, 200)[None, :]
-    worst_reflect = 0.0
-    for cls in (HelicityClass.EQUAL_PLUS, HelicityClass.UNEQUAL):
-        worst_reflect = max(
-            worst_reflect,
-            float(
-                np.abs(
-                    ent.boosted_entropy_closed_form(etas, d_full, cls)
-                    - ent.boosted_entropy_closed_form(etas, math.pi - d_full, cls)
-                ).max()
-            ),
+    worst_reflect = max(
+        _max_gap(
+            ent.boosted_entropy_closed_form(etas, d_full, cls),
+            ent.boosted_entropy_closed_form(etas, math.pi - d_full, cls),
         )
+        for cls in (HelicityClass.EQUAL_PLUS, HelicityClass.UNEQUAL)
+    )
 
     # lower bound on the entanglement difference, 200x200, both classes
     eta_grid = np.linspace(0.0, 2.0 * math.pi, 200)[:, None]
@@ -317,8 +305,8 @@ def _check_entropy_analytics(n: int, rng) -> list[tuple]:
             f"{m} eta x 2x200 delta, both classes",
             max(worst_mono, 0.0),
         ),
-        ("entropy_derivative_matches_fd", f"{m} eta x 400 delta", float(worst_fd)),
-        ("entropy_duality_sin_cos", f"{m} eta x 200 delta", float(dual.max())),
+        ("entropy_derivative_matches_fd", f"{m} eta x 400 delta", worst_fd),
+        ("entropy_duality_sin_cos", f"{m} eta x 200 delta", dual),
         (
             "entropy_reflection_symmetry",
             f"{m} eta x 200 delta, both classes",
@@ -349,8 +337,8 @@ def _check_sweeps(n: int, rng) -> list[tuple]:
         )
         worst_rows = max(
             worst_rows,
-            float(np.abs(series.delta - delta_ref).max()),
-            float(np.abs(series.entropy - entropy_ref).max()),
+            _max_gap(series.delta, delta_ref),
+            _max_gap(series.entropy, entropy_ref),
         )
         rest = ent.rest_frame_entropy(req.eta, req.helicity_class)
         if req.helicity_class is HelicityClass.UNEQUAL:

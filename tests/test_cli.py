@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 
@@ -78,6 +79,12 @@ class TestAngle:
         assert code == EXIT_USAGE
         assert out == ""
         assert "u must satisfy 0 <= u < 1" in err
+
+    def test_negative_zero_speed_prints_positive_zero(self, capsys):
+        code, out, _ = _run(capsys, "angle", "--u", "-0", "--v", "0.5", "--phi", "1")
+        assert code == EXIT_OK
+        assert [line.split()[3] for line in out.splitlines()[:3]] == ["0", "0", "0"]
+        assert "-0 " not in out
 
     def test_non_finite_phi_is_usage_error(self, capsys):
         code, _, err = _run(capsys, "angle", "--u", "0.5", "--v", "0.5", "--phi", "nan")
@@ -313,6 +320,29 @@ class TestWriteErrors:
         assert err.splitlines() == [f"wignerlab: error: cannot write '{out}': {reason}"]
         assert stdout == ""
         # No temp file is left, and the files already there keep their bytes.
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_empty_out_makes_no_temp_file(self, capsys, tmp_path, monkeypatch, command):
+        # "" names no file: no temp file may be made, in the working directory or its parent.
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        made = []
+        mkstemp = tempfile.mkstemp
+
+        def spy(*args, **kwargs):
+            made.append(kwargs)
+            return mkstemp(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", spy)
+        before = _tree(tmp_path)
+        code, stdout, err = _run(capsys, *self.COMMANDS[command], "--out", "")
+        assert code == EXIT_USAGE
+        reason = os.strerror(errno.ENOENT)
+        assert err.splitlines() == [f"wignerlab: error: cannot write '': {reason}"]
+        assert stdout == ""
+        assert made == []
         assert _tree(tmp_path) == before
 
 

@@ -107,6 +107,29 @@ class TestClosedForms:
         assert kin.wigner_angle_tan_form(0.0, 0.9, 1.0) == 0.0
         assert kin.wigner_angle_tan_form(0.9, 0.0, 2.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "route",
+        [kin.wigner_angle_cos_form, kin.wigner_angle_tan_form, kin.wigner_angle_matrix_form],
+    )
+    @pytest.mark.parametrize("phi", [0.0, 1.0, 2.5, math.pi])
+    def test_negative_zero_speed_gives_positive_zero(self, route, phi):
+        for u, v in ((-0.0, 0.5), (0.5, -0.0), (-0.0, -0.0)):
+            delta = route(u, v, phi)
+            assert delta == 0.0 and math.copysign(1.0, delta) == 1.0
+            stack = route(np.array([u, 0.3]), np.array([v, 0.0]), np.full(2, phi))
+            assert np.array_equal(stack, [0.0, 0.0]) and not np.signbit(stack).any()
+
+    @pytest.mark.parametrize(
+        "route",
+        [kin.wigner_angle_cos_form, kin.wigner_angle_tan_form, kin.wigner_angle_matrix_form],
+    )
+    def test_float32_pi_is_collinear(self, route):
+        # np.float32(pi) passes the range check but lies above pi in float64.
+        for phi in (np.float32(math.pi), np.full(2, math.pi, dtype=np.float32)):
+            delta = route(0.9, 0.99, phi)
+            assert np.array_equal(delta, np.zeros(np.shape(phi)))
+            assert not np.signbit(delta).any()
+
     def test_reference_point_all_routes(self):
         assert kin.wigner_angle_cos_form(0.5, 0.5, math.pi / 2) == pytest.approx(
             DELTA_HALF_PERP, abs=1e-12

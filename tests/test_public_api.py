@@ -1,7 +1,12 @@
-"""The package namespace: one declaration per public name, and the README quick start."""
+"""The package namespace: one declaration per public name, the README quick start, and
+the rule that non-real numeric input gets the documented ValueError."""
 
 import re
+import warnings
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import wignerlab as wl
 from wignerlab import _version, cli, entanglement, kinematics, states, sweep, verify
@@ -95,3 +100,44 @@ def test_readme_quick_start():
     assert results == list(commented.values())
     # The tan form's value; the cos form gives 0.14334756890536537, one ulp above.
     assert results == [0.1433475689053654, 2.1224542672159568, 0.9851714310094161, 0.0]
+
+
+_CLS = wl.HelicityClass.EQUAL_PLUS
+_U = "u must satisfy 0 <= u < 1 (units of c)"
+_V = "v must satisfy 0 <= v < 1 (units of c)"
+_PHI = "boosting angle must lie in [0, pi]"
+
+# site id -> (call with the bad value in one argument, the documented message prefix)
+_NUMERIC_CALL_SITES = {
+    "tan-phi": (lambda x: wl.wigner_angle_tan_form(0.5, 0.5, x), _PHI),
+    "cos-v": (lambda x: wl.wigner_angle_cos_form(0.5, x, 1.0), _V),
+    "matrix-u": (lambda x: wl.wigner_angle_matrix_form(x, 0.5, 1.0), _U),
+    "speed_factor_d": (lambda x: wl.speed_factor_d(x, 0.5), _U),
+    "lorentz_gamma": (wl.lorentz_gamma, "speed must satisfy 0 <= speed < 1 (units of c)"),
+    "argmax_boost_angle": (lambda x: wl.argmax_boost_angle(0.5, x), _V),
+    "ultra_condition": (lambda x: wl.ultra_relativistic_condition(0.5, 0.5, x), _PHI),
+    "ultra_phi_interval": (lambda x: wl.ultra_phi_interval(x, 0.5), _U),
+    "closed_form": (lambda x: wl.boosted_entropy_closed_form(x, 1.0, _CLS), "eta must be finite"),
+    "derivative": (lambda x: wl.boosted_entropy_derivative(0.6, x), "delta must be finite"),
+    "rest_frame_entropy": (lambda x: wl.rest_frame_entropy(x, _CLS), "eta must be finite"),
+    "binary_entropy": (wl.binary_entropy, "p must be finite"),
+    "bound": (lambda x: wl.entanglement_difference_bound(0.6, x, _CLS), "delta must be finite"),
+}
+
+_NON_REAL = {
+    "str": "a",
+    "None": None,
+    "complex": 0.5 + 0.5j,
+    "complex-array": np.array([0.5 + 0.5j]),
+    "object": object(),
+}
+
+
+@pytest.mark.parametrize("bad", list(_NON_REAL.values()), ids=list(_NON_REAL))
+@pytest.mark.parametrize("site", list(_NUMERIC_CALL_SITES))
+def test_non_real_input_gets_the_documented_value_error(site, bad):
+    call, prefix = _NUMERIC_CALL_SITES[site]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(prefix)}, got "):
+            call(bad)

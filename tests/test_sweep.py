@@ -416,6 +416,23 @@ class TestAngleSweepAndRegion:
         with pytest.raises(ValueError, match=message):
             threshold_speed_region(bad, [0.9, 0.99])
 
+    @pytest.mark.parametrize(
+        "u_speeds, v_speeds, name, shape",
+        [
+            (0.5, None, "u_speeds", "()"),
+            (np.array(0.5), [0.9], "u_speeds", "()"),
+            ([[0.9, 0.99]], None, "u_speeds", "(1, 2)"),
+            ([0.9, 0.99], 0.5, "v_speeds", "()"),
+            ([0.9, 0.99], [[0.9], [0.99]], "v_speeds", "(2, 1)"),
+        ],
+    )
+    def test_threshold_region_refuses_speeds_that_are_not_1d(
+        self, u_speeds, v_speeds, name, shape
+    ):
+        message = rf"^{name} must be 1-d, got shape {re.escape(shape)}$"
+        with pytest.raises(ValueError, match=message):
+            threshold_speed_region(3 * math.pi / 4, u_speeds, v_speeds)
+
     def test_threshold_region_accepts_zero_d_phi(self):
         speeds = [0.9, 0.99, 0.999]
         assert np.array_equal(
