@@ -72,20 +72,21 @@ _V = (operator.lt, 1.0, "v must satisfy 0 <= v < 1 (units of c)")
 _PHI = (operator.le, math.pi, "boosting angle must lie in [0, pi]")
 
 
-def _check_range(x, rule) -> None:
-    """Raise ValueError unless 0 <= x and ``below(x, upper)`` hold everywhere.
+def _check_range(x, rule):
+    """x, after raising ValueError unless 0 <= x and ``below(x, upper)`` hold everywhere.
 
-    A float is tested with plain comparisons, anything else elementwise as
-    a real (bool, integer or float) array; NaN fails every comparison.
+    A float is tested with plain comparisons and returned as it is,
+    anything else elementwise and returned as a real (bool, integer or
+    float) array; NaN fails every comparison.
     """
     below, upper, message = rule
     if isinstance(x, float):
         if 0.0 <= x and below(x, upper):
-            return
+            return x
     else:
         x = np.asarray(x)
         if x.dtype.kind in "biuf" and ((x >= 0.0) & below(x, upper)).all():
-            return
+            return x
     raise ValueError(f"{message}, got {x}")
 
 
@@ -110,14 +111,13 @@ def _clip(x, upper):
 
 
 def _gamma(u):
-    """Unchecked Lorentz factor; callers validate ``u`` first."""
-    return 1.0 / np.sqrt(1.0 - np.square(u))
+    """Unchecked Lorentz factor of a float or array speed; callers validate ``u`` first."""
+    return 1.0 / _sqrt(1.0 - u * u)
 
 
 def lorentz_gamma(u):
     """Lorentz factor gamma = 1/sqrt(1 - u^2) for a speed u in units of c."""
-    _check_range(u, _SPEED)
-    return _scalar_or_array(_gamma(u))
+    return _scalar_or_array(_gamma(_check_range(u, _SPEED)))
 
 
 def speed_factor_d(u, v):
@@ -130,8 +130,7 @@ def speed_factor_d(u, v):
     (below ~1e-154) that num/den overflows.  gamma - 1 is taken as
     u^2 gamma^2/(gamma + 1), which does not cancel at small speeds.
     """
-    _check_range(u, _U)
-    _check_range(v, _V)
+    u, v = _check_range(u, _U), _check_range(v, _V)
     gu, gv = _gamma(u), _gamma(v)
     num = (gu + 1.0) * (gv + 1.0)
     den = (np.square(u) * gu * gu / (gu + 1.0)) * (np.square(v) * gv * gv / (gv + 1.0))
@@ -240,8 +239,13 @@ def ultra_phi_interval(u: float, v: float) -> tuple[float, float] | None:
     Solves sin(phi) - cos(phi) = D, i.e. sqrt(2) sin(phi - pi/4) = D.
     Returns None when D > sqrt(2) (the ultra-relativistic regime is out
     of reach for these speeds); a degenerate interval [3pi/4, 3pi/4]
-    when D = sqrt(2) exactly.
+    when D = sqrt(2) exactly.  ``u`` and ``v`` are real scalars: a list,
+    a sized array, a complex number, a string or None gets the range
+    message.
     """
+    for x, rule in ((u, _U), (v, _V)):
+        if not _is_real_scalar(x):
+            raise ValueError(f"{rule[2]}, got {x}")
     d = speed_factor_d(u, v)
     if d > math.sqrt(2.0):
         return None
@@ -265,7 +269,7 @@ def _cross(a, b):
 
 
 def _velocity(velocity):
-    """Validated (..., 3) velocities: the float array, its components and |beta|^2.
+    """Validated (..., 3) velocities: the float array, its components and gamma.
 
     The components are arrays over the leading shape (``np.float64``
     scalars for a single (3,) velocity).
@@ -280,7 +284,7 @@ def _velocity(velocity):
         if not np.isfinite(beta).all():
             raise ValueError(f"velocity must be finite, got {beta}")
         raise ValueError(f"velocity must be sub-luminal, got |v| = {math.sqrt(np.max(b2))}")
-    return beta, comps, b2
+    return beta, comps, 1.0 / np.sqrt(1.0 - b2)
 
 
 def boost_matrix(velocity) -> np.ndarray:
@@ -290,8 +294,7 @@ def boost_matrix(velocity) -> np.ndarray:
     equals the textbook (gamma - 1)/beta^2 form without its cancellation
     at small speeds, and gives the identity exactly at zero velocity.
     """
-    beta, _, b2 = _velocity(velocity)
-    g = 1.0 / np.sqrt(1.0 - b2)
+    beta, _, g = _velocity(velocity)
     mat = np.empty(beta.shape[:-1] + (4, 4))
     mat[..., 0, 0] = g
     scale = g * g / (g + 1.0)
@@ -302,26 +305,25 @@ def boost_matrix(velocity) -> np.ndarray:
     return mat
 
 
-def _half_rapidity(b2):
-    """(cosh(rho/2), sinh(rho/2)/|beta|) of a boost with |beta|^2 = b2."""
-    g = 1.0 / _sqrt(1.0 - b2)
+def _half_rapidity(g):
+    """(cosh(rho/2), sinh(rho/2)/|beta|) of a boost with Lorentz factor g."""
     return _sqrt((g + 1.0) / 2.0), g / _sqrt(2.0 * (g + 1.0))
 
 
 def _spinor_boost(velocity):
     """(c, s) of the SL(2,C) boosts c I + s.sigma for (..., 3) velocities."""
-    _, beta, b2 = _velocity(velocity)
-    c, k = _half_rapidity(b2)
+    _, beta, g = _velocity(velocity)
+    c, k = _half_rapidity(g)
     return c, [k * b for b in beta]
 
 
 def _spinor_boost_along(speed, direction):
     """(c, s) of the SL(2,C) boost with |beta| = speed along a unit direction triple.
 
-    |beta|^2 is the square of the speed itself, not a sum over rounded
+    gamma is taken from the speed itself, not from a sum over rounded
     velocity components, so 1 - |beta|^2 stays accurate as speed -> 1.
     """
-    c, k = _half_rapidity(speed * speed)
+    c, k = _half_rapidity(_gamma(speed))
     k = k * speed
     return c, [k * n for n in direction]
 

@@ -134,8 +134,6 @@ _POW10 = 10.0 ** np.arange(22)
 _VELTKAMP = 2.0**27 + 1.0
 _POW10_HI = _VELTKAMP * _POW10 - (_VELTKAMP * _POW10 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
-# Keep-mask rows for fallback text of each length (at most 24 bytes).
-_CSV_FALLBACK_KEEP = np.arange(_CSV_SLOT) <= np.arange(25)[:, None]
 
 
 def _csv_fields(block: np.ndarray, heads: np.ndarray, tables: tuple) -> np.ndarray:
@@ -186,16 +184,14 @@ def _csv_fields(block: np.ndarray, heads: np.ndarray, tables: tuple) -> np.ndarr
 
     fallback = np.flatnonzero(~fixed)
     if fallback.size:
-        text = ("%.17g," * fallback.size) % tuple(x[fallback].tolist())
-        chars = np.frombuffer(text.encode("ascii"), np.uint8)
-        ends = np.flatnonzero(chars == ord(","))
-        lengths = np.diff(ends, prepend=-1) - 1
-        # Field j's characters go to bytes 1..length of its slot.
-        rows = np.repeat(fallback, lengths)
-        starts = ends - lengths - np.arange(fallback.size)  # in chars without commas
-        cols = np.arange(rows.size) + np.repeat(1 - starts, lengths)
-        slots[rows, cols] = chars[chars != ord(",")]
-        keep[fallback] = _CSV_FALLBACK_KEEP[lengths]
+        # "%.17g" of a double takes at most 24 characters, as in
+        # -2.2250738585072014e-308; each field is padded to 24 with spaces
+        # and goes to bytes 1-24 of its slot.
+        text = ("%-24.17g" * fallback.size) % tuple(x[fallback].tolist())
+        chars = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 24)
+        slots[fallback, 1:25] = chars
+        keep[fallback, 1:] = False
+        keep[fallback, 1:25] = chars != ord(" ")
     return slots[keep]
 
 

@@ -308,6 +308,18 @@ class TestUltraGeometrySolves:
     def test_phi_interval_unreachable(self):
         assert kin.ultra_phi_interval(0.95, 0.95) is None
 
+    @pytest.mark.parametrize(
+        "bad",
+        [[0.995], np.array([0.99, 0.995]), np.array([[0.995]]), 0.995 + 0j, "0.995", None],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("name", ["u", "v"])
+    def test_phi_interval_refuses_non_scalar_speed(self, name, bad):
+        message = rf"^{name} must satisfy 0 <= {name} < 1 \(units of c\), got {re.escape(str(bad))}$"
+        args = {"u": 0.99, "v": 0.99, name: bad}
+        with pytest.raises(ValueError, match=message):
+            kin.ultra_phi_interval(args["u"], args["v"])
+
 
 class TestBoostMatrix:
     def test_zero_velocity_is_identity(self):

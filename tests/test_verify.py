@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wignerlab import verify
 from wignerlab.verify import DEFAULT_TOLERANCES, run_all
 
 
@@ -44,3 +45,32 @@ class TestGridValidation:
     def test_rejected(self, grid):
         with pytest.raises(ValueError, match="grid must be an integer >= 3"):
             run_all(grid)
+
+
+class TestSingleReduction:
+    def test_rows_read_their_largest_violation_and_zero(self, monkeypatch):
+        def stub(grid, rng):
+            return [
+                ("angle_forms_agree", "signed", np.array([-1.0, -0.0, -2.5])),
+                ("lorentz_invariance", "empty", []),
+                (
+                    "entanglement_bound_holds",
+                    "ragged",
+                    [np.array([[1e-13, -1.0]]), np.array([3e-12]), -0.0, 2e-13],
+                ),
+                ("extremum_regime_consistent", "count", 2),
+            ]
+
+        monkeypatch.setattr(verify, "_CHECKS", (stub,))
+        results = run_all(3)
+        assert [(r.name, r.grid) for r in results] == [
+            ("angle_forms_agree", "signed"),
+            ("lorentz_invariance", "empty"),
+            ("entanglement_bound_holds", "ragged"),
+            ("extremum_regime_consistent", "count"),
+        ]
+        worst = [r.max_violation for r in results]
+        assert worst == [0.0, 0.0, 3e-12, 2.0]
+        for w in worst:
+            assert type(w) is float and math.copysign(1.0, w) == 1.0
+        assert [r.passed for r in results] == [True, True, False, False]
