@@ -17,7 +17,9 @@ W = cos^2(delta) for the unequal-helicity family.
 
 The partial trace and the 2x2 eigenvalues are computed on Python complex
 numbers and floats (no BLAS call, no small-array overhead); the results
-are still returned as numpy arrays, and log2 stays numpy's.
+are still returned as numpy arrays, and log2 stays numpy's.  ``eta``,
+``delta`` and ``p`` pass the library's input rule (``kinematics._checked``):
+real and finite, and computed in float64 unless given as floats.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 
 import numpy as np
 
-from .kinematics import _clip, _scalar_or_array
+from .kinematics import _MATRIX, _checked, _clip, _scalar_or_array
 from .states import HelicityClass, SpinMomentumState
 
 __all__ = [
@@ -45,27 +47,10 @@ _LN2 = np.log(2.0)
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-9
-
-
-def _check_finite(name: str, x) -> None:
-    """Raise ValueError unless x is finite everywhere and real (bool, integer or float)."""
-    if isinstance(x, float):
-        if math.isfinite(x):
-            return
-    else:
-        x = np.asarray(x)
-        if x.dtype.kind in "biuf" and np.isfinite(x).all():
-            return
-    raise ValueError(f"{name} must be finite, got {x}")
-
-
-def _finite_angles(eta, delta):
-    """Checked (eta, delta): unchanged when both are floats, float64 arrays otherwise."""
-    _check_finite("eta", eta)
-    _check_finite("delta", delta)
-    if isinstance(eta, float) and isinstance(delta, float):
-        return eta, delta
-    return np.asarray(eta, dtype=float), np.asarray(delta, dtype=float)
+# Input rules for _checked, with the finiteness test of the matrix rule.
+_ETA = (_MATRIX[0], "eta must be finite")
+_DELTA = (_MATRIX[0], "delta must be finite")
+_P = (_MATRIX[0], "p must be finite")
 
 
 def reduced_density_matrix(state: SpinMomentumState, keep: str = "spin") -> np.ndarray:
@@ -146,8 +131,7 @@ def binary_entropy(p):
 
     ``p`` is clipped into [0, 1]; non-finite ``p`` raises ValueError.
     """
-    _check_finite("p", p)
-    p = _clip(p, 1.0)
+    p = _clip(_checked(p, _P), 1.0)
     h = -(_xlog2x(p) + _xlog2x(1.0 - p))
     return _scalar_or_array(h + 0.0)  # + 0.0 normalizes -0.0
 
@@ -166,9 +150,9 @@ def rest_frame_entropy(eta, helicity_class: HelicityClass):
     unequal-helicity family is a product state, entropy 0 for every eta.
     Non-finite ``eta`` raises ValueError.
     """
-    _check_finite("eta", eta)
+    eta = _checked(eta, _ETA)
     if helicity_class is HelicityClass.UNEQUAL:
-        return _scalar_or_array(np.zeros_like(np.asarray(eta, dtype=float)))
+        return _scalar_or_array(np.zeros_like(eta))
     return binary_entropy(np.square(np.cos(eta)))
 
 
@@ -195,7 +179,7 @@ def boosted_entropy_closed_form(eta, delta, helicity_class: HelicityClass):
     delta -> 0.  Accepts scalars, lists or broadcastable arrays; non-finite
     ``eta`` or ``delta`` raises ValueError.
     """
-    eta, delta = _finite_angles(eta, delta)
+    eta, delta = _checked(eta, _ETA), _checked(delta, _DELTA)
     _, gap = _xi_factor(eta, delta, helicity_class)
     h = -(_xlog2x(0.5 * (1.0 + gap)) + _xlog2x(0.5 * (1.0 - gap)))
     return _scalar_or_array(h + 0.0)
@@ -221,7 +205,7 @@ def boosted_entropy_derivative(eta, delta):
     eta); both limits equal 0 and are returned as such.  Non-finite
     ``eta`` or ``delta`` raises ValueError.
     """
-    eta, delta = _finite_angles(eta, delta)
+    eta, delta = _checked(eta, _ETA), _checked(delta, _DELTA)
     s2, gap = _xi_factor(eta, delta, HelicityClass.EQUAL_PLUS)
     if isinstance(gap, float):
         return float(_slope(delta, s2, gap) + 0.0) if 0.0 < gap < 1.0 else 0.0
@@ -246,7 +230,7 @@ def entanglement_difference_bound(eta, delta, helicity_class: HelicityClass):
     entropies it is built from; non-finite ``eta`` or ``delta`` raises
     ValueError.
     """
-    eta, delta = _finite_angles(eta, delta)
+    eta, delta = _checked(eta, _ETA), _checked(delta, _DELTA)
     rest = rest_frame_entropy(eta, helicity_class)
     boosted = boosted_entropy_closed_form(eta, delta, helicity_class)
     if helicity_class is HelicityClass.UNEQUAL:

@@ -18,11 +18,11 @@ All angle functions accept scalars or numpy arrays (broadcast like
 ufuncs) and are pure, so they are safe to call concurrently.  The matrix
 route works on stacks too: velocities are (..., 3) arrays, matrices
 (..., 4, 4), and a scalar input is the stack with an empty leading shape.
-NaN and infinite inputs are rejected with ValueError.  A call whose
-inputs are all Python floats (``np.float64`` included) validates, masks
-and clips with plain Python operations instead of numpy's 0-d array
-machinery, and evaluates the same ufunc expressions as an array call, so
-it returns the same bits as the array call on the same values.
+Every numeric input passes ``_checked`` or ``_checked_scalar``: a float
+(``np.float64`` included) is kept, anything else is tested in its own
+dtype and computed in float64, and NaN, infinite or out-of-range values
+raise ValueError.  A float argument skips numpy's 0-d array machinery
+but evaluates the same ufunc expressions, so it gives the array bits.
 ``wigner_angle_matrix_form`` takes the same arithmetic with float and
 array speeds; ``math.sqrt`` and ``np.sqrt`` are both correctly rounded,
 so the bits agree there too.  ``compose_boosts`` and ``boost_matrix``
@@ -32,7 +32,6 @@ treat a single (3,) velocity as a stack with an empty leading shape.
 from __future__ import annotations
 
 import math
-import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -65,28 +64,39 @@ MINKOWSKI_METRIC.flags.writeable = False
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
 
-# Range rules for _check_range: (upper-bound comparison, upper bound, message).
-_SPEED = (operator.lt, 1.0, "speed must satisfy 0 <= speed < 1 (units of c)")
-_U = (operator.lt, 1.0, "u must satisfy 0 <= u < 1 (units of c)")
-_V = (operator.lt, 1.0, "v must satisfy 0 <= v < 1 (units of c)")
-_PHI = (operator.le, math.pi, "boosting angle must lie in [0, pi]")
+# Input rules for _checked and _checked_scalar: (test, message).  A test takes a
+# float, or an array elementwise, and is False for NaN.
+_SPEED = (lambda x: (0.0 <= x) & (x < 1.0), "speed must satisfy 0 <= speed < 1 (units of c)")
+_U = (_SPEED[0], "u must satisfy 0 <= u < 1 (units of c)")
+_V = (_SPEED[0], "v must satisfy 0 <= v < 1 (units of c)")
+_PHI = (lambda x: (0.0 <= x) & (x <= math.pi), "boosting angle must lie in [0, pi]")
+_ROTATION = (lambda x: abs(x) < math.inf, "rotation must be finite")
+_MATRIX = (_ROTATION[0], "matrix must be finite")
 
 
-def _check_range(x, rule):
-    """x, after raising ValueError unless 0 <= x and ``below(x, upper)`` hold everywhere.
+def _checked(x, rule):
+    """x as a float or a float64 array; ValueError unless ``rule``'s test holds everywhere.
 
-    A float is tested with plain comparisons and returned as it is,
-    anything else elementwise and returned as a real (bool, integer or
-    float) array; NaN fails every comparison.
+    A float is tested and returned as it is.  Anything else must be real
+    (bool, integer or float) and is tested in its own dtype, so
+    ``np.float32(pi)`` is a valid angle, then returned as a float64 array.
     """
-    below, upper, message = rule
+    test, message = rule
     if isinstance(x, float):
-        if 0.0 <= x and below(x, upper):
+        if test(x):
             return x
     else:
         x = np.asarray(x)
-        if x.dtype.kind in "biuf" and ((x >= 0.0) & below(x, upper)).all():
-            return x
+        if x.dtype.kind in "biuf" and test(x).all():
+            return x.astype(float, copy=False)
+    raise ValueError(f"{message}, got {x}")
+
+
+def _checked_scalar(x, rule):
+    """float(x), after raising ValueError unless x is a real scalar that passes ``rule``'s test."""
+    test, message = rule
+    if _is_real_scalar(x) and test(x):
+        return float(x)
     raise ValueError(f"{message}, got {x}")
 
 
@@ -117,7 +127,7 @@ def _gamma(u):
 
 def lorentz_gamma(u):
     """Lorentz factor gamma = 1/sqrt(1 - u^2) for a speed u in units of c."""
-    return _scalar_or_array(_gamma(_check_range(u, _SPEED)))
+    return _scalar_or_array(_gamma(_checked(u, _SPEED)))
 
 
 def speed_factor_d(u, v):
@@ -130,7 +140,11 @@ def speed_factor_d(u, v):
     (below ~1e-154) that num/den overflows.  gamma - 1 is taken as
     u^2 gamma^2/(gamma + 1), which does not cancel at small speeds.
     """
-    u, v = _check_range(u, _U), _check_range(v, _V)
+    return _speed_factor(_checked(u, _U), _checked(v, _V))
+
+
+def _speed_factor(u, v):
+    """Unchecked D of float or float64-array speeds; callers validate ``u`` and ``v`` first."""
     gu, gv = _gamma(u), _gamma(v)
     num = (gu + 1.0) * (gv + 1.0)
     den = (np.square(u) * gu * gu / (gu + 1.0)) * (np.square(v) * gv * gv / (gv + 1.0))
@@ -176,7 +190,7 @@ def wigner_angle_tan_form(u, v, phi):
     value of pi is treated as exactly collinear).
     """
     u, v, (sin_phi, _, cos_phi) = _standard_geometry(u, v, phi)
-    return _scalar_or_array(2.0 * np.arctan2(sin_phi, cos_phi + speed_factor_d(u, v)))
+    return _scalar_or_array(2.0 * np.arctan2(sin_phi, cos_phi + _speed_factor(u, v)))
 
 
 def argmax_boost_angle(u, v):
@@ -187,10 +201,11 @@ def argmax_boost_angle(u, v):
     D -> inf).  For u = 0 or v = 0 the rotation vanishes for every phi,
     so no maximum exists; that degenerate case raises ValueError.
     """
-    d = speed_factor_d(u, v)  # validates u and v
+    u, v = _checked(u, _U), _checked(v, _V)
+    d = _speed_factor(u, v)
     if isinstance(d, float):
         degenerate = u == 0.0 or v == 0.0
-    else:
+    else:  # one of u and v may still be a float
         degenerate = (np.asarray(u) == 0.0).any() or (np.asarray(v) == 0.0).any()
     if degenerate:
         raise ValueError("no rotation: delta vanishes identically when u = 0 or v = 0")
@@ -206,7 +221,7 @@ def ultra_relativistic_condition(u, v, phi):
     sin(phi) - cos(phi) <= -D (phi < pi/4), so it must not be applied
     blindly; the unsquared form is used here.
     """
-    _check_range(phi, _PHI)
+    phi = _checked(phi, _PHI)
     cond = np.sin(phi) - np.cos(phi) >= speed_factor_d(u, v)
     return bool(cond) if cond.ndim == 0 else cond
 
@@ -218,12 +233,9 @@ def equal_speed_ultra_threshold(phi: float) -> float:
     only for phi in (pi/2, pi), where sin(phi) - cos(phi) > 1; outside
     that range (e.g. perpendicular boosts, phi = pi/2) the threshold is
     reachable only in the light-speed limit and ValueError is raised.
-    ``phi`` is a real scalar: a list, a sized array, a complex number, a
-    string or None gets the range message.
+    ``phi`` is scalar-only (``_checked_scalar``).
     """
-    if not _is_real_scalar(phi):
-        raise ValueError(f"{_PHI[2]}, got {phi}")
-    _check_range(phi, _PHI)
+    phi = _checked_scalar(phi, _PHI)
     target = math.sin(phi) - math.cos(phi)
     if target <= 1.0:
         raise ValueError(
@@ -239,14 +251,9 @@ def ultra_phi_interval(u: float, v: float) -> tuple[float, float] | None:
     Solves sin(phi) - cos(phi) = D, i.e. sqrt(2) sin(phi - pi/4) = D.
     Returns None when D > sqrt(2) (the ultra-relativistic regime is out
     of reach for these speeds); a degenerate interval [3pi/4, 3pi/4]
-    when D = sqrt(2) exactly.  ``u`` and ``v`` are real scalars: a list,
-    a sized array, a complex number, a string or None gets the range
-    message.
+    when D = sqrt(2) exactly.  ``u`` and ``v`` are scalar-only.
     """
-    for x, rule in ((u, _U), (v, _V)):
-        if not _is_real_scalar(x):
-            raise ValueError(f"{rule[2]}, got {x}")
-    d = speed_factor_d(u, v)
+    d = _speed_factor(_checked_scalar(u, _U), _checked_scalar(v, _V))
     if d > math.sqrt(2.0):
         return None
     a = math.asin(d / math.sqrt(2.0))
@@ -417,9 +424,11 @@ def rotation_axis(rotation: np.ndarray) -> np.ndarray:
 
     Extracted from the antisymmetric part; gives the zero vector where
     the rotation is too close to the identity for the axis to be defined
-    (angle below ~1e-12).
+    (angle below ~1e-12).  Non-finite entries or other shapes raise ValueError.
     """
-    rotation = np.asarray(rotation, dtype=float)
+    rotation = np.asarray(_checked(rotation, _ROTATION))
+    if rotation.shape[-2:] not in ((3, 3), (4, 4)):
+        raise ValueError(f"rotation must be 3x3 or 4x4, got shape {rotation.shape}")
     r3 = rotation[..., 1:, 1:] if rotation.shape[-2:] == (4, 4) else rotation
     # axial vector (r32 - r23, r13 - r31, r21 - r12)
     vec = (r3 - r3.swapaxes(-1, -2))[..., _AXIAL_ROWS, _AXIAL_COLS]
@@ -431,19 +440,16 @@ def rotation_axis(rotation: np.ndarray) -> np.ndarray:
 def _standard_geometry(u, v, phi):
     """Validated u and v, and the unit direction (sin phi, 0, cos phi) of v.
 
-    Floats stay floats when all three are floats; otherwise all three
-    become float64 arrays.  sin phi is exactly +0 at phi = 0 (also -0.0)
+    Each stays a float when given as one, and becomes a float64 array
+    otherwise (``_checked``).  sin phi is exactly +0 at phi = 0 (also -0.0)
     and at the float value of pi, which counts as exactly collinear, and
     so does np.float32(pi), which passes the range check but lies above
     pi in float64; elsewhere on [0, pi] sin phi lies in [0, 1] unclipped.
     """
-    _check_range(u, _U)
-    _check_range(v, _V)
-    _check_range(phi, _PHI)
-    if isinstance(u, float) and isinstance(v, float) and isinstance(phi, float):
+    u, v, phi = _checked(u, _U), _checked(v, _V), _checked(phi, _PHI)
+    if isinstance(phi, float):
         sin_phi = 0.0 if phi == 0.0 or phi == math.pi else np.sin(phi)
     else:
-        u, v, phi = (np.asarray(x, dtype=float) for x in (u, v, phi))
         # masked in place: np.where would hold a second full-size sin array
         sin_phi = np.sin(phi, out=np.zeros_like(phi), where=(phi != 0.0) & (phi < math.pi))
     return u, v, (sin_phi, 0.0, np.cos(phi))
@@ -491,8 +497,10 @@ def lorentz_defect(mat: np.ndarray):
     """Max-abs deviation of L^T eta L from eta over the last two axes.
 
     0 for an exact Lorentz matrix; a float for one 4x4 matrix, an array
-    over the leading axes of a stack.
+    over the leading axes of a stack.  Non-finite entries raise ValueError.
     """
-    mat = np.asarray(mat, dtype=float)
+    mat = np.asarray(_checked(mat, _MATRIX))
+    if mat.shape[-2:] != (4, 4):
+        raise ValueError(f"matrix must be 4x4, got shape {mat.shape}")
     residual = np.swapaxes(mat, -1, -2) @ MINKOWSKI_METRIC @ mat - MINKOWSKI_METRIC
     return _scalar_or_array(np.abs(residual).max(axis=(-2, -1)))

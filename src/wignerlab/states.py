@@ -17,8 +17,8 @@ amplitudes as Python floats and complex numbers: on a 4-element array
 numpy's per-call cost is many times the arithmetic.  cos and sin stay
 numpy's, because the ``math`` versions can differ from them in the last
 bit.  Scalar inputs (eta, delta) accept floats, ints, bools, real numpy
-scalars and 0-d arrays; a list, a sized array, a complex number, a
-string or None is refused with the range message.
+scalars and 0-d arrays, tested in their own dtype and evaluated in
+float64; anything else is refused with the range message.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .kinematics import _is_real_scalar
+from .kinematics import _PHI, _checked_scalar
 
 __all__ = [
     "AMPLITUDE_ORDER",
@@ -46,6 +46,8 @@ __all__ = [
 AMPLITUDE_ORDER = ("p+ up", "p+ down", "p- up", "p- down")
 
 _NORM_TOL = 1e-12
+_ETA = (lambda x: (0.0 <= x) & (x < 2.0 * np.pi), "eta must lie in [0, 2*pi)")
+_DELTA = (_PHI[0], "delta must lie in [0, pi]")
 
 
 class HelicityClass(Enum):
@@ -116,14 +118,8 @@ def state_from_json_dict(payload: dict) -> SpinMomentumState:
 
 
 def _half_angle(delta) -> tuple[float, float, float]:
-    """(delta, cos(delta/2), sin(delta/2)) as floats, for a scalar delta in [0, pi].
-
-    A float32, float16, int or bool delta is evaluated in float64; a list,
-    a sized array, a complex number, a string or None gets the range message.
-    """
-    if not (_is_real_scalar(delta) and 0.0 <= delta <= np.pi):
-        raise ValueError(f"delta must lie in [0, pi], got {delta}")
-    delta = float(delta)
+    """(delta, cos(delta/2), sin(delta/2)) as floats, for a scalar delta in [0, pi]."""
+    delta = _checked_scalar(delta, _DELTA)
     return delta, float(np.cos(delta / 2.0)), float(np.sin(delta / 2.0))
 
 
@@ -135,9 +131,7 @@ def prepare_state(helicity_class: HelicityClass, eta: float) -> SpinMomentumStat
     pi/2 (maximally, a Bell state, at odd multiples of pi/4); the
     unequal-helicity family is a product state for every eta.
     """
-    if not (_is_real_scalar(eta) and 0.0 <= eta < 2.0 * np.pi):
-        raise ValueError(f"eta must lie in [0, 2*pi), got {eta}")
-    eta = float(eta)  # a float32, float16 or bool eta is evaluated in float64
+    eta = _checked_scalar(eta, _ETA)  # a float32, float16 or bool eta is evaluated in float64
     c, s = float(np.cos(eta)), float(np.sin(eta))
     if helicity_class is HelicityClass.EQUAL_PLUS:
         amps = [c, 0.0, 0.0, s]

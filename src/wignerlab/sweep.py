@@ -39,6 +39,8 @@ import numpy as np
 from ._version import __version__
 from .entanglement import boosted_entropy_closed_form
 from .kinematics import (
+    _U,
+    _checked_scalar,
     _is_real_scalar,
     argmax_boost_angle,
     equal_speed_ultra_threshold,
@@ -47,7 +49,7 @@ from .kinematics import (
     ultra_relativistic_condition,
     wigner_angle_tan_form,
 )
-from .states import HelicityClass
+from .states import _ETA, HelicityClass
 
 __all__ = [
     "Dataset",
@@ -249,10 +251,8 @@ class SweepRequest:
     def __post_init__(self):
         """Range checks; a list, array, complex, string or None gets the range message too."""
         for name, speed in (("u", self.u), ("v", self.v)):
-            if not (_is_real_scalar(speed) and 0.0 <= speed < 1.0):
-                raise ValueError(f"{name} must satisfy 0 <= {name} < 1, got {speed}")
-        if not (_is_real_scalar(self.eta) and 0.0 <= self.eta < 2.0 * math.pi):
-            raise ValueError(f"eta must lie in [0, 2*pi), got {self.eta}")
+            _checked_scalar(speed, (_U[0], f"{name} must satisfy 0 <= {name} < 1"))
+        _checked_scalar(self.eta, _ETA)
         if not isinstance(self.helicity_class, HelicityClass):
             raise ValueError(f"unknown helicity class: {self.helicity_class!r}")
         if not (
@@ -451,8 +451,7 @@ def threshold_speed_region(phi: float, u_speeds, v_speeds=None) -> np.ndarray:
 
     ``u_speeds`` and ``v_speeds`` (default ``u_speeds``) are 1-d; other shapes raise ValueError.
     """
-    if not (_is_real_scalar(phi) and 0.0 < phi < math.pi):
-        raise ValueError(f"phi must lie in (0, pi), got {phi}")
+    phi = _checked_scalar(phi, (lambda x: (0.0 < x) & (x < math.pi), "phi must lie in (0, pi)"))
     u = np.asarray(u_speeds, dtype=float)
     v = u if v_speeds is None else np.asarray(v_speeds, dtype=float)
     for name, speeds in (("u_speeds", u), ("v_speeds", v)):

@@ -440,6 +440,31 @@ class TestNonFiniteInput:
             with pytest.raises(ValueError, match="sub-luminal"):
                 call()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_matrix_functions_reject_non_finite_entries(self, bad, size):
+        # Unchecked, an inf entry warns, and a NaN entry gives the zero axis
+        # or a NaN defect without a warning.
+        rotation = np.eye(size)
+        rotation[1, 2] = bad
+        with pytest.raises(ValueError, match=r"^rotation must be finite, got \[\["):
+            kin.rotation_axis(rotation)
+        stack = np.stack([np.eye(4), np.eye(4)])
+        stack[1, 0, 3] = bad
+        with pytest.raises(ValueError, match=r"^matrix must be finite, got \[\[\["):
+            kin.lorentz_defect(stack)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (3,), ()])
+    def test_rotation_axis_names_a_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"3x3 or 4x4, got shape {shape}")):
+            kin.rotation_axis(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4, 3), (4,), ()])
+    def test_lorentz_defect_names_a_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"must be 4x4, got shape {shape}")):
+            kin.lorentz_defect(np.zeros(shape))
+
 
 class TestMatrixRouteRange:
     def test_low_speed_matches_tan_form(self):

@@ -106,6 +106,12 @@ _CLS = wl.HelicityClass.EQUAL_PLUS
 _U = "u must satisfy 0 <= u < 1 (units of c)"
 _V = "v must satisfy 0 <= v < 1 (units of c)"
 _PHI = "boosting angle must lie in [0, pi]"
+_REST = wl.prepare_state(_CLS, 0.6)
+
+
+def _request(**field):
+    return wl.SweepRequest(**{"u": 0.5, "v": 0.5, "eta": 0.6, "helicity_class": _CLS, **field})
+
 
 # site id -> (call with the bad value in one argument, the documented message prefix)
 _NUMERIC_CALL_SITES = {
@@ -122,6 +128,20 @@ _NUMERIC_CALL_SITES = {
     "rest_frame_entropy": (lambda x: wl.rest_frame_entropy(x, _CLS), "eta must be finite"),
     "binary_entropy": (wl.binary_entropy, "p must be finite"),
     "bound": (lambda x: wl.entanglement_difference_bound(0.6, x, _CLS), "delta must be finite"),
+    "prepare_state": (lambda x: wl.prepare_state(_CLS, x), "eta must lie in [0, 2*pi)"),
+    "boost_state": (lambda x: wl.boost_state(_REST, x), "delta must lie in [0, pi]"),
+    "wigner_rotation_matrix": (
+        lambda x: wl.wigner_rotation_matrix(x, 1), "delta must lie in [0, pi]"
+    ),
+    "request-u": (lambda x: _request(u=x), "u must satisfy 0 <= u < 1"),
+    "request-v": (lambda x: _request(v=x), "v must satisfy 0 <= v < 1"),
+    "request-eta": (lambda x: _request(eta=x), "eta must lie in [0, 2*pi)"),
+    "threshold_speed_region": (
+        lambda x: wl.threshold_speed_region(x, [0.5]), "phi must lie in (0, pi)"
+    ),
+    "equal_speed_ultra_threshold": (wl.equal_speed_ultra_threshold, _PHI),
+    "rotation_axis": (wl.rotation_axis, "rotation must be finite"),
+    "lorentz_defect": (wl.lorentz_defect, "matrix must be finite"),
 }
 
 _NON_REAL = {

@@ -1,12 +1,15 @@
 """Scalar calls against array calls: same bits, same errors, Python types.
 
-A call whose inputs are all floats validates, masks and clips with plain
-Python operations; any other input goes through numpy arrays.  Both
+A float argument is validated, masked and clipped with plain Python
+operations; any other argument goes through a float64 array.  Both
 evaluate the same ufunc expressions, so for every input type a result
 must agree to the bit (compared with ``float.hex``) with the call on a
 whole array of the same values, a rejected input must give the same
 message, and a scalar call must return a Python ``float`` (``bool`` for
-the ultra-relativistic condition).
+the ultra-relativistic condition).  A ``np.float32``, ``np.float16`` or
+``bool`` input is computed in float64, so it must agree with the float
+call on its float64 value; the same holds when a float argument meets
+an array one.
 
 Inputs are seeded values plus an edge grid: speeds at and next to 0 and
 1, angles at and next to 0 and pi, and the 0 log 0 and gap = 0 or 1
@@ -32,7 +35,7 @@ ANGLES = (0.0, 1e-300, math.nextafter(math.pi, 0.0), math.pi) + tuple(
 )
 ETAS = (0.0, 1e-300, 1e-8, math.pi / 4, math.pi / 2, 3.0) + tuple(
     _RNG.uniform(0.0, 2.0 * math.pi, 4).tolist()
-)
+) + (1.0,)
 DELTAS = (0.0, 1e-300, 1e-8, math.pi / 2, math.nextafter(math.pi, 0.0), math.pi) + tuple(
     _RNG.uniform(0.0, math.pi, 4).tolist()
 )
@@ -48,6 +51,9 @@ KINDS = {
     "int": lambda x: int(x) if x.is_integer() else None,
     "0-d array": np.asarray,
     "1-element array": lambda x: np.array([x]),
+    "float32": np.float32,
+    "float16": np.float16,
+    "bool": lambda x: bool(x) if x in (0.0, 1.0) else None,
 }
 SCALAR_KINDS = ("float", "float64", "0-d array")
 
@@ -95,8 +101,25 @@ def _outcome(call, args):
         return "error", str(exc).split(", got ")[0]
 
 
-def _check_agreement(call, inputs, kind):
-    """Each call on converted scalars matches the one call on whole arrays."""
+def _as_float(x, angle):
+    """The float64 value of a converted input, as a Python float.
+
+    ``np.float32(pi)`` passes the angle range test in its own dtype but
+    lies above pi in float64, where it counts as exactly collinear; as an
+    ``angle`` it reads as pi.
+    """
+    value = np.asarray(x, dtype=float).item()
+    return math.pi if angle and value == float(np.float32(math.pi)) else value
+
+
+def _check_agreement(call, inputs, kind, angles=False):
+    """Each call on converted scalars matches the one call on whole arrays.
+
+    A converted value is compared with the float call on its float64 value
+    (``_as_float``; ``angles`` when the inputs are range-tested angles).
+    The same rows also come back from one mixed call, with the first
+    argument a float and the others arrays.
+    """
     convert = KINDS[kind]
     expected = [_outcome(call, args) for args in inputs]
     good = [args for args, (status, _) in zip(inputs, expected) if status == "ok"]
@@ -104,12 +127,23 @@ def _check_agreement(call, inputs, kind):
     columns = [np.array(column) for column in zip(*good)]
     stacked = _bits(call(*columns))
     assert [bits for status, bits in expected if status == "ok"] == [[b] for b in stacked]
+    if len(good[0]) > 1:
+        first = good[0][0]
+        rows = [k for k, args in enumerate(good) if args[0] == first]
+        mixed = call(first, *(column[rows] for column in columns[1:]))
+        assert _bits(mixed) == [stacked[k] for k in rows]
     compared = 0
     for args, want in zip(inputs, expected):
         converted = [convert(x) for x in args]
         if any(x is None for x in converted):
             continue
+        floats = tuple(_as_float(x, angles) for x in converted)
+        if floats != args:
+            want = _outcome(call, floats)
         assert _outcome(call, converted) == want, (kind, args)
+        if kind == "float32" and want[0] == "ok":
+            result = call(*(np.array([x]) for x in converted))
+            assert np.asarray(result).dtype in (np.float64, np.bool_), (kind, args)
         compared += 1
     return compared
 
@@ -118,7 +152,7 @@ def _check_agreement(call, inputs, kind):
 @pytest.mark.parametrize("route", list(ROUTES))
 def test_routes_agree_to_the_bit(route, kind):
     call, arity = ROUTES[route]
-    assert _check_agreement(call, _route_inputs(arity), kind) > 0
+    assert _check_agreement(call, _route_inputs(arity), kind, angles=True) > 0
 
 
 @pytest.mark.parametrize("kind", list(KINDS))
