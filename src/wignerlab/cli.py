@@ -171,6 +171,12 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
+# The --class option of boost and sweep.
+_CLASS_ARGUMENT = {
+    "dest": "helicity_class", "choices": [c.value for c in HelicityClass], "required": True
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="wignerlab",
@@ -189,12 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_angle.set_defaults(func=_cmd_angle)
 
     p_boost = sub.add_parser("boost", help="boost a state and report entropies")
-    p_boost.add_argument(
-        "--class",
-        dest="helicity_class",
-        choices=[c.value for c in HelicityClass],
-        required=True,
-    )
+    p_boost.add_argument("--class", **_CLASS_ARGUMENT)
     p_boost.add_argument("--eta", type=float, required=True, help="preparation angle")
     p_boost.add_argument("--delta", type=float, help="rotation angle in [0, pi]")
     p_boost.add_argument("--u", type=float, help="particle speed (with --v --phi)")
@@ -208,12 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--u", type=float, required=True)
     p_sweep.add_argument("--v", type=float, required=True)
     p_sweep.add_argument("--eta", type=float, required=True)
-    p_sweep.add_argument(
-        "--class",
-        dest="helicity_class",
-        choices=[c.value for c in HelicityClass],
-        required=True,
-    )
+    p_sweep.add_argument("--class", **_CLASS_ARGUMENT)
     p_sweep.add_argument("--phi-min", type=float, default=0.0)
     p_sweep.add_argument("--phi-max", type=float, default=math.pi)
     p_sweep.add_argument("--samples", type=int, default=2001)

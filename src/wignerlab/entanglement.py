@@ -131,7 +131,11 @@ def binary_entropy(p):
 
     ``p`` is clipped into [0, 1]; non-finite ``p`` raises ValueError.
     """
-    p = _clip(_checked(p, _P), 1.0)
+    return _binary_entropy(_clip(_checked(p, _P), 1.0))
+
+
+def _binary_entropy(p):
+    """Unchecked h(p) of a float or float64-array p in [0, 1]; callers validate ``p`` first."""
     h = -(_xlog2x(p) + _xlog2x(1.0 - p))
     return _scalar_or_array(h + 0.0)  # + 0.0 normalizes -0.0
 
@@ -153,7 +157,7 @@ def rest_frame_entropy(eta, helicity_class: HelicityClass):
     eta = _checked(eta, _ETA)
     if helicity_class is HelicityClass.UNEQUAL:
         return _scalar_or_array(np.zeros_like(eta))
-    return binary_entropy(np.square(np.cos(eta)))
+    return _binary_entropy(np.square(np.cos(eta)))  # cos^2 eta lies in [0, 1]
 
 
 def _xi_factor(eta, delta, helicity_class: HelicityClass):

@@ -6,7 +6,8 @@ and by the matrix route.  The matrix route multiplies the two boosts in
 SL(2,C), as spinor matrices c I + s.sigma with entries of size
 sqrt(gamma), and reads the rotation and the boost factor of the product
 from closed forms of its polar decomposition; ``compose_boosts`` returns
-both as 4x4 Lorentz matrices.
+both as 4x4 Lorentz matrices.  Its boost factor and ``boost_matrix`` are
+one spinor-to-4x4 form, ``_boost_4x4``.
 
 Conventions: c = 1, speeds are dimensionless fractions of the speed of
 light, the boosting angle ``phi`` between the two boost directions lies
@@ -18,15 +19,16 @@ All angle functions accept scalars or numpy arrays (broadcast like
 ufuncs) and are pure, so they are safe to call concurrently.  The matrix
 route works on stacks too: velocities are (..., 3) arrays, matrices
 (..., 4, 4), and a scalar input is the stack with an empty leading shape.
-Every numeric input passes ``_checked`` or ``_checked_scalar``: a float
-(``np.float64`` included) is kept, anything else is tested in its own
-dtype and computed in float64, and NaN, infinite or out-of-range values
-raise ValueError.  A float argument skips numpy's 0-d array machinery
-but evaluates the same ufunc expressions, so it gives the array bits.
-``wigner_angle_matrix_form`` takes the same arithmetic with float and
-array speeds; ``math.sqrt`` and ``np.sqrt`` are both correctly rounded,
-so the bits agree there too.  ``compose_boosts`` and ``boost_matrix``
-treat a single (3,) velocity as a stack with an empty leading shape.
+Every numeric input, velocities included, passes ``_checked`` or
+``_checked_scalar``: a float (``np.float64`` included) is kept, anything
+else is tested in its own dtype and computed in float64, and non-real,
+NaN, infinite or out-of-range values raise ValueError.  Huge finite
+matrix entries are valid: ``rotation_axis`` still returns the unit axis,
+and ``lorentz_defect`` inf where the residual overflows.  A float
+argument skips numpy's 0-d array machinery but evaluates the same ufunc
+expressions, so it gives the array bits.  ``wigner_angle_matrix_form``
+takes the same arithmetic with float and array speeds; ``math.sqrt`` and
+``np.sqrt`` are both correctly rounded, so the bits agree there too.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ _V = (_SPEED[0], "v must satisfy 0 <= v < 1 (units of c)")
 _PHI = (lambda x: (0.0 <= x) & (x <= math.pi), "boosting angle must lie in [0, pi]")
 _ROTATION = (lambda x: abs(x) < math.inf, "rotation must be finite")
 _MATRIX = (_ROTATION[0], "matrix must be finite")
+_VELOCITY = (_ROTATION[0], "velocity must be finite")
 
 
 def _checked(x, rule):
@@ -275,53 +278,47 @@ def _cross(a, b):
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-def _velocity(velocity):
-    """Validated (..., 3) velocities: the float array, its components and gamma.
-
-    The components are arrays over the leading shape (``np.float64``
-    scalars for a single (3,) velocity).
-    """
-    beta = np.asarray(velocity, dtype=float)
-    if beta.shape[-1:] != (3,):
-        raise ValueError(f"velocity must have 3 components, got shape {beta.shape}")
-    comps = tuple(np.moveaxis(beta, -1, 0))
-    with np.errstate(over="ignore"):  # a huge component squares to inf
-        b2 = _dot(comps, comps)
-    if not (b2 < 1.0).all():  # also fails for NaN and inf components
-        if not np.isfinite(beta).all():
-            raise ValueError(f"velocity must be finite, got {beta}")
-        raise ValueError(f"velocity must be sub-luminal, got |v| = {math.sqrt(np.max(b2))}")
-    return beta, comps, 1.0 / np.sqrt(1.0 - b2)
-
-
-def boost_matrix(velocity) -> np.ndarray:
-    """Pure Lorentz boosts (..., 4, 4), symmetric, for (..., 3) velocities in units of c.
-
-    The spatial block is I + gamma^2/(gamma + 1) beta beta^T, which
-    equals the textbook (gamma - 1)/beta^2 form without its cancellation
-    at small speeds, and gives the identity exactly at zero velocity.
-    """
-    beta, _, g = _velocity(velocity)
-    mat = np.empty(beta.shape[:-1] + (4, 4))
-    mat[..., 0, 0] = g
-    scale = g * g / (g + 1.0)
-    if beta.ndim > 1:  # one factor per velocity
-        g, scale = g[..., None], scale[..., None, None]
-    mat[..., 0, 1:] = mat[..., 1:, 0] = -g * beta
-    mat[..., 1:, 1:] = scale * (beta[..., :, None] * beta[..., None, :]) + _EYE3
-    return mat
-
-
 def _half_rapidity(g):
     """(cosh(rho/2), sinh(rho/2)/|beta|) of a boost with Lorentz factor g."""
     return _sqrt((g + 1.0) / 2.0), g / _sqrt(2.0 * (g + 1.0))
 
 
 def _spinor_boost(velocity):
-    """(c, s) of the SL(2,C) boosts c I + s.sigma for (..., 3) velocities."""
-    _, beta, g = _velocity(velocity)
-    c, k = _half_rapidity(g)
-    return c, [k * b for b in beta]
+    """(c, s) of the SL(2,C) boosts c I + s.sigma; s lists 3 arrays over the leading shape."""
+    beta = _checked(velocity, _VELOCITY)
+    if np.shape(beta)[-1:] != (3,):
+        raise ValueError(f"velocity must have 3 components, got shape {np.shape(beta)}")
+    comps = tuple(np.moveaxis(beta, -1, 0))
+    with np.errstate(over="ignore"):  # a huge component squares to inf
+        b2 = _dot(comps, comps)
+    if not (b2 < 1.0).all():
+        raise ValueError(f"velocity must be sub-luminal, got |v| = {math.sqrt(np.max(b2))}")
+    c, k = _half_rapidity(1.0 / np.sqrt(1.0 - b2))
+    return c, [k * b for b in comps]
+
+
+def _boost_4x4(c, s):
+    """Pure boosts (..., 4, 4) of the Hermitian spinors c I + s.sigma, c^2 - |s|^2 = 1.
+
+    [[1 + 2|s|^2, -2c s^T], [-2c s, I + 2 s s^T]]; the identity exactly at s = 0.
+    """
+    mat = np.empty(np.shape(c) + (4, 4))
+    mat[..., 0, 0] = 1.0 + 2.0 * _dot(s, s)
+    s = np.stack(s, axis=-1)
+    mat[..., 0, 1:] = mat[..., 1:, 0] = -2.0 * np.expand_dims(c, -1) * s
+    mat[..., 1:, 1:] = 2.0 * (s[..., :, None] * s[..., None, :]) + _EYE3
+    return mat
+
+
+def boost_matrix(velocity) -> np.ndarray:
+    """Pure Lorentz boosts (..., 4, 4), symmetric, for (..., 3) velocities in units of c.
+
+    ``_boost_4x4`` of the spinor boost (``_spinor_boost``), as for the
+    boost factor of ``compose_boosts``: gamma = 1 + 2|s|^2, with no
+    (gamma - 1)/beta^2 cancellation at small speeds, and the identity
+    exactly at zero velocity.
+    """
+    return _boost_4x4(*_spinor_boost(velocity))
 
 
 def _spinor_boost_along(speed, direction):
@@ -400,11 +397,7 @@ def compose_boosts(first, second) -> BoostComposition:
     n = _sqrt(a0 * a0 + qq)
     m = [(a0 * pk + ck) / n for pk, ck in zip(p, _cross(p, q))]
     w = a0 / n
-    boost = np.empty(np.shape(a0) + (4, 4))
-    boost[..., 0, 0] = 1.0 + 2.0 * _dot(m, m)
-    m = np.stack(m, axis=-1)
-    boost[..., 0, 1:] = boost[..., 1:, 0] = -2.0 * np.expand_dims(n, -1) * m
-    boost[..., 1:, 1:] = 2.0 * (m[..., :, None] * m[..., None, :]) + _EYE3
+    boost = _boost_4x4(n, m)
     r = [qk / n for qk in q]
     cos_angle = w * w - _dot(r, r)
     r = np.stack(r, axis=-1)
@@ -424,16 +417,18 @@ def rotation_axis(rotation: np.ndarray) -> np.ndarray:
 
     Extracted from the antisymmetric part; gives the zero vector where
     the rotation is too close to the identity for the axis to be defined
-    (angle below ~1e-12).  Non-finite entries or other shapes raise ValueError.
+    (angle below ~1e-12).  Huge finite entries give the true unit axis.
+    Non-finite entries or other shapes raise ValueError.
     """
     rotation = np.asarray(_checked(rotation, _ROTATION))
     if rotation.shape[-2:] not in ((3, 3), (4, 4)):
         raise ValueError(f"rotation must be 3x3 or 4x4, got shape {rotation.shape}")
     r3 = rotation[..., 1:, 1:] if rotation.shape[-2:] == (4, 4) else rotation
-    # axial vector (r32 - r23, r13 - r31, r21 - r12)
-    vec = (r3 - r3.swapaxes(-1, -2))[..., _AXIAL_ROWS, _AXIAL_COLS]
-    norm = np.sqrt(np.einsum("...i,...i->...", vec, vec))[..., None]
-    defined = norm >= 1e-12
+    # a quarter of the axial vector (r32 - r23, r13 - r31, r21 - r12), so that neither
+    # the differences nor the hypot norm overflow; exact above the subnormals
+    vec = 0.25 * r3[..., _AXIAL_ROWS, _AXIAL_COLS] - 0.25 * r3[..., _AXIAL_COLS, _AXIAL_ROWS]
+    norm = np.hypot(np.hypot(vec[..., 0], vec[..., 1]), vec[..., 2])[..., None]
+    defined = norm >= 0.25e-12
     return np.where(defined, vec / np.where(defined, norm, 1.0), 0.0)
 
 
@@ -497,10 +492,13 @@ def lorentz_defect(mat: np.ndarray):
     """Max-abs deviation of L^T eta L from eta over the last two axes.
 
     0 for an exact Lorentz matrix; a float for one 4x4 matrix, an array
-    over the leading axes of a stack.  Non-finite entries raise ValueError.
+    over the leading axes of a stack.  A residual that overflows gives inf
+    silently; non-finite entries raise ValueError.
     """
     mat = np.asarray(_checked(mat, _MATRIX))
     if mat.shape[-2:] != (4, 4):
         raise ValueError(f"matrix must be 4x4, got shape {mat.shape}")
-    residual = np.swapaxes(mat, -1, -2) @ MINKOWSKI_METRIC @ mat - MINKOWSKI_METRIC
-    return _scalar_or_array(np.abs(residual).max(axis=(-2, -1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow, then inf - inf = NaN
+        residual = np.swapaxes(mat, -1, -2) @ MINKOWSKI_METRIC @ mat - MINKOWSKI_METRIC
+        defect = np.abs(residual).max(axis=(-2, -1))
+    return _scalar_or_array(np.where(np.isnan(defect), math.inf, defect))

@@ -9,6 +9,7 @@ angle against the matrix composition, and the matrix route against a
 
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -433,6 +434,25 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="finite"):
             kin.compose_boosts([0.0, 0.0, 0.5], [0.1, bad, 0.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [
+            ([0.3 + 1j, 0, 0], "[0.3+1.j 0. +0.j 0. +0.j]"),  # not read as speed 0.3
+            ([None, 0, 0], "[None 0 0]"),  # not read as NaN
+            ("abc", "abc"),
+        ],
+    )
+    def test_velocity_passes_the_input_rule(self, bad, shown):
+        message = "^" + re.escape(f"velocity must be finite, got {shown}") + "$"
+        for call in (
+            lambda: kin.boost_matrix(bad),
+            lambda: kin.compose_boosts(bad, [0.0, 0.0, 0.5]),
+            lambda: kin.compose_boosts([0.0, 0.0, 0.5], bad),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_huge_component_in_a_stack_is_sub_luminal(self):
         # |beta|^2 overflows to inf, which is a velocity error, not a warning
         huge = [[0.0, 0.0, 0.5], [1e200, 0.0, 0.0]]
@@ -464,6 +484,43 @@ class TestNonFiniteInput:
     def test_lorentz_defect_names_a_wrong_shape(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"must be 4x4, got shape {shape}")):
             kin.lorentz_defect(np.zeros(shape))
+
+
+class TestHugeFiniteMatrices:
+    # Finite entries pass the input rule at any size: the axis comes out as
+    # the true unit axis, and an overflowing Lorentz residual reads inf.
+    @pytest.mark.parametrize("big", [1e300, 1.7e308, np.finfo(float).max])
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_rotation_axis_of_huge_entries_is_the_unit_axis(self, big, size):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            off = size - 3  # the spatial block of a 4x4 starts at row and column 1
+            single = np.eye(size)
+            single[off + 1, off + 0], single[off + 0, off + 1] = big, -big
+            assert kin.rotation_axis(single).tolist() == [0.0, 0.0, 1.0]
+            full = np.eye(size)
+            for i, j in ((2, 1), (0, 2), (1, 0)):
+                full[off + i, off + j], full[off + j, off + i] = big, -big
+            axis = kin.rotation_axis(np.stack([full, np.eye(size)]))
+        assert np.abs(axis[0] - 1.0 / math.sqrt(3.0)).max() < 1e-15
+        assert axis[1].tolist() == [0.0, 0.0, 0.0]
+
+    def test_rotation_axis_of_mixed_magnitudes(self):
+        rotation = np.eye(3)
+        rotation[2, 1], rotation[0, 2] = 1e300, 1.7e308  # axial vector (1e300, 1.7e308, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            axis = kin.rotation_axis(rotation)
+        assert axis[0] == pytest.approx(1e300 / 1.7e308, rel=1e-15)
+        assert axis[1] == 1.0 and axis[2] == 0.0
+
+    @pytest.mark.parametrize("big", [1e160, 1e300, 1.7e308, np.finfo(float).max])
+    def test_lorentz_defect_of_an_overflowing_residual_is_inf(self, big):
+        stack = np.stack([np.eye(4), np.full((4, 4), big), np.diag([big, 1.0, 1.0, 1.0])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kin.lorentz_defect(stack).tolist() == [0.0, math.inf, math.inf]
+            assert kin.lorentz_defect(np.full((4, 4), big)) == math.inf
 
 
 class TestMatrixRouteRange:
@@ -508,6 +565,39 @@ def _relative_error(angle, u, v, phi):
         d = mpmath.sqrt((gu + 1) * (gv + 1) / ((gu - 1) * (gv - 1)))
         delta = 2 * mpmath.atan2(mpmath.sin(phi), mpmath.cos(phi) + d)
         return float(abs((angle - delta) / delta))
+
+
+class TestBoostMatrixAccuracy:
+    @pytest.mark.parametrize("speed", [1e-8, 1e-4, 0.5, 0.99, 1.0 - 1e-4, 1.0 - 1e-6, 1.0 - 1e-8])
+    def test_each_entry_within_four_eps_gamma_squared(self, speed):
+        # 1 - |beta|^2 of the rounded components alone costs eps gamma^2.
+        rng = np.random.default_rng(29)
+        directions = rng.normal(size=(12, 3))
+        velocities = speed * directions / np.linalg.norm(directions, axis=-1, keepdims=True)
+        mats = kin.boost_matrix(velocities)
+        for beta, mat in zip(velocities, mats):
+            reference, gamma2 = _boost_reference(beta)
+            bound = 4.0 * np.finfo(float).eps * gamma2
+            for i in range(4):
+                for j in range(4):
+                    exact = reference[i][j]
+                    assert abs((float(mat[i, j]) - exact) / exact) <= bound, (speed, i, j)
+
+
+def _boost_reference(beta):
+    """50-digit [[gamma, -gamma beta^T], [-gamma beta, I + gamma^2/(gamma+1) beta beta^T]].
+
+    Evaluated at the exact float components; also returns gamma^2 as a float.
+    """
+    with mpmath.workdps(50):
+        b = [mpmath.mpf(x) for x in beta.tolist()]
+        gamma2 = 1 / (1 - sum(x * x for x in b))
+        gamma = mpmath.sqrt(gamma2)
+        scale = gamma2 / (gamma + 1)
+        rows = [[gamma] + [-gamma * x for x in b]]
+        rows += [[-gamma * b[i]] + [(i == j) + scale * b[i] * b[j] for j in range(3)]
+                 for i in range(3)]
+        return rows, float(gamma2)
 
 
 class TestTinySpeed:

@@ -106,6 +106,7 @@ _CLS = wl.HelicityClass.EQUAL_PLUS
 _U = "u must satisfy 0 <= u < 1 (units of c)"
 _V = "v must satisfy 0 <= v < 1 (units of c)"
 _PHI = "boosting angle must lie in [0, pi]"
+_VELOCITY = "velocity must be finite"
 _REST = wl.prepare_state(_CLS, 0.6)
 
 
@@ -142,6 +143,9 @@ _NUMERIC_CALL_SITES = {
     "equal_speed_ultra_threshold": (wl.equal_speed_ultra_threshold, _PHI),
     "rotation_axis": (wl.rotation_axis, "rotation must be finite"),
     "lorentz_defect": (wl.lorentz_defect, "matrix must be finite"),
+    "boost_matrix": (wl.boost_matrix, _VELOCITY),
+    "compose-first": (lambda x: wl.compose_boosts(x, [0.0, 0.0, 0.5]), _VELOCITY),
+    "compose-second": (lambda x: wl.compose_boosts([0.0, 0.0, 0.5], x), _VELOCITY),
 }
 
 _NON_REAL = {
