@@ -40,6 +40,8 @@ from ._version import __version__
 from .entanglement import boosted_entropy_closed_form
 from .kinematics import (
     _U,
+    _V,
+    _checked,
     _checked_scalar,
     _is_real_scalar,
     argmax_boost_angle,
@@ -452,8 +454,8 @@ def threshold_speed_region(phi: float, u_speeds, v_speeds=None) -> np.ndarray:
     ``u_speeds`` and ``v_speeds`` (default ``u_speeds``) are 1-d; other shapes raise ValueError.
     """
     phi = _checked_scalar(phi, (lambda x: (0.0 < x) & (x < math.pi), "phi must lie in (0, pi)"))
-    u = np.asarray(u_speeds, dtype=float)
-    v = u if v_speeds is None else np.asarray(v_speeds, dtype=float)
+    u = np.asarray(_checked(u_speeds, _U))
+    v = u if v_speeds is None else np.asarray(_checked(v_speeds, _V))
     for name, speeds in (("u_speeds", u), ("v_speeds", v)):
         if speeds.ndim != 1:
             raise ValueError(f"{name} must be 1-d, got shape {speeds.shape}")
