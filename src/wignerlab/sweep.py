@@ -23,7 +23,8 @@ integer arithmetic on arrays, and every other value goes through ``%``.
 The CSV comes out as byte chunks of ``_CSV_CHUNK_ROWS`` rows
 (``csv_chunks``), which the CLI writes into its temp file one at a time,
 so a sweep never holds its whole text in memory; ``to_csv_text`` joins
-them.
+them.  Both table types check their columns once, at construction
+(``_table_columns``), and both formats read only the checked columns.
 """
 
 from __future__ import annotations
@@ -209,12 +210,9 @@ def _csv_chunks(header: tuple, columns):
     magnitudes, inf, NaN) and the rare value whose exponent estimate is
     off go through ``%``.  Rows are stacked and formatted
     ``_CSV_CHUNK_ROWS`` at a time, one chunk each, so a writer that takes
-    the chunks as they come never holds the whole text.  A header that
-    does not match the columns raises ValueError before the first chunk.
+    the chunks as they come never holds the whole text.  The columns are
+    a table's, checked at its construction by :func:`_table_columns`.
     """
-    columns = [np.asarray(column, dtype=float) for column in columns]
-    if not header or len(columns) != len(header):
-        raise ValueError(f"need one column of values per name, got {len(columns)} for {header}")
     heads = np.frombuffer(("\n-0." + ",-0." * (len(header) - 1)).encode("ascii"), np.uint32)
     tables = _csv_tables()
     yield ",".join(header).encode()
@@ -222,6 +220,24 @@ def _csv_chunks(header: tuple, columns):
         block = np.column_stack([column[start : start + _CSV_CHUNK_ROWS] for column in columns])
         yield _csv_fields(block, heads, tables).data
     yield b"\n"
+
+
+# Table values are real; NaN and inf are valid.  The test allocates nothing.
+_TABLE_VALUES = (lambda x: np.True_, "table values must be real")
+_SWEEP_HEADER = ("phi", "delta", "entropy_bits")
+
+
+def _table_columns(header: tuple, columns) -> tuple:
+    """Float64 ``columns``; ValueError unless one real 1-d column per name, all of one length."""
+    columns = tuple(_checked(column, _TABLE_VALUES) for column in columns)
+    if not header or len(columns) != len(header):
+        raise ValueError(f"need one column of values per name, got {len(columns)} for {header}")
+    shapes = [np.shape(column) for column in columns]
+    if len(shapes[0]) != 1 or shapes.count(shapes[0]) != len(shapes):
+        raise ValueError(
+            f"need one column of values per name, 1-d and of one length, got shapes {shapes}"
+        )
+    return columns
 
 
 def _check_count(name: str, value, least: int) -> None:
@@ -289,12 +305,17 @@ class SweepSeries:
     entropy: np.ndarray
     extra_metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        columns = _table_columns(_SWEEP_HEADER, (self.phi, self.delta, self.entropy))
+        for name, column in zip(("phi", "delta", "entropy"), columns):
+            object.__setattr__(self, name, column)
+
     def metadata(self) -> dict:
         return {**self.request.metadata(), "version": __version__, **self.extra_metadata}
 
     def csv_chunks(self):
         """The CSV file as ASCII byte chunks, a header and then ``_CSV_CHUNK_ROWS`` rows each."""
-        return _csv_chunks(("phi", "delta", "entropy_bits"), (self.phi, self.delta, self.entropy))
+        return _csv_chunks(_SWEEP_HEADER, (self.phi, self.delta, self.entropy))
 
     def to_csv_text(self) -> str:
         return b"".join(self.csv_chunks()).decode()
@@ -314,9 +335,13 @@ class Dataset:
     rows: np.ndarray
     metadata: dict
 
+    def __post_init__(self):
+        columns = _table_columns(self.columns, np.atleast_1d(np.transpose(self.rows)))
+        object.__setattr__(self, "rows", np.transpose(columns))
+
     def csv_chunks(self):
         """The CSV file as ASCII byte chunks, a header and then ``_CSV_CHUNK_ROWS`` rows each."""
-        return _csv_chunks(self.columns, np.asarray(self.rows, dtype=float).T)
+        return _csv_chunks(self.columns, self.rows.T)
 
     def to_csv_text(self) -> str:
         return b"".join(self.csv_chunks()).decode()
@@ -325,7 +350,7 @@ class Dataset:
         return {
             "metadata": self.metadata,
             "columns": list(self.columns),
-            "rows": np.asarray(self.rows, dtype=float).tolist(),
+            "rows": self.rows.tolist(),
         }
 
 

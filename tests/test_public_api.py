@@ -107,6 +107,8 @@ _V = "v must satisfy 0 <= v < 1 (units of c)"
 _PHI = "boosting angle must lie in [0, pi]"
 _VELOCITY = "velocity must be finite"
 _REST = wl.prepare_state(_CLS, 0.6)
+_TABLE = "table values must be real"
+_COLUMN = np.zeros(1)  # a valid one-row column of a sweep table
 
 
 def _request(**field):
@@ -148,6 +150,10 @@ _NUMERIC_CALL_SITES = {
     "boost_matrix": (wl.boost_matrix, _VELOCITY),
     "compose-first": (lambda x: wl.compose_boosts(x, [0.0, 0.0, 0.5]), _VELOCITY),
     "compose-second": (lambda x: wl.compose_boosts([0.0, 0.0, 0.5], x), _VELOCITY),
+    "dataset-rows": (lambda x: wl.Dataset(("a",), x, {}), _TABLE),
+    "series-phi": (lambda x: wl.SweepSeries(_request(), x, _COLUMN, _COLUMN), _TABLE),
+    "series-delta": (lambda x: wl.SweepSeries(_request(), _COLUMN, x, _COLUMN), _TABLE),
+    "series-entropy": (lambda x: wl.SweepSeries(_request(), _COLUMN, _COLUMN, x), _TABLE),
 }
 
 _NON_REAL = {

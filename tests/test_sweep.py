@@ -647,13 +647,35 @@ class TestSerialization:
         assert text.split("\n")[1] == "-0,0.5,1.0000000000000001e+300"
         _assert_same_text(text, _csv_reference(("a", "b", "c"), rows))
 
-    @pytest.mark.parametrize("columns, width", [(("a", "b"), 3), ((), 0)])
-    def test_rows_must_match_the_header(self, columns, width):
-        message = (
-            rf"^need one column of values per name, got {width} for {re.escape(str(columns))}$"
-        )
-        with pytest.raises(ValueError, match=message):
-            Dataset(columns=columns, rows=np.zeros((2, width)), metadata={}).to_csv_text()
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (
+                lambda: Dataset(columns=("a", "b"), rows=np.zeros((2, 3)), metadata={}),
+                "need one column of values per name, got 3 for ('a', 'b')",
+            ),
+            (
+                lambda: Dataset(columns=(), rows=np.zeros((2, 0)), metadata={}),
+                "need one column of values per name, got 0 for ()",
+            ),
+            (
+                lambda: Dataset(columns=("a",), rows=[[None]], metadata={}),
+                "table values must be real, got [None]",
+            ),
+            (
+                lambda: SweepSeries(
+                    request=_request(), phi=np.zeros(3), delta=np.zeros(2), entropy=np.zeros(3)
+                ),
+                "need one column of values per name, 1-d and of one length,"
+                " got shapes [(3,), (2,), (3,)]",
+            ),
+        ],
+        ids=["2-names-3-wide", "no-names", "none-row", "unequal-lengths"],
+    )
+    def test_rows_must_match_the_header(self, make, message):
+        # Refused at construction, before either format can read the table.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
 
     def test_zero_row_table_is_the_header_alone(self):
         dataset = Dataset(columns=("u", "v", "ultra"), rows=np.empty((0, 3)), metadata={})
