@@ -17,9 +17,11 @@ W = cos^2(delta) for the unequal-helicity family.
 
 The partial trace and the 2x2 eigenvalues are computed on Python complex
 numbers and floats (no BLAS call, no small-array overhead); the results
-are still returned as numpy arrays, and log2 stays numpy's.  ``eta``,
-``delta`` and ``p`` pass the library's input rule (``kinematics._checked``):
-real and finite, and computed in float64 unless given as floats.
+are still returned as numpy arrays, and the kernels stay numpy's, with
+results on floats taken as Python floats (``kinematics._apply``).
+``eta``, ``delta`` and ``p`` pass the library's input rule
+(``kinematics._checked``): real and finite, and computed in float64
+unless given as floats.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 
 import numpy as np
 
-from .kinematics import _MATRIX, _checked, _clip, _scalar_or_array
+from .kinematics import _MATRIX, _apply, _checked, _clip, _scalar_or_array, _sqrt
 from .states import HelicityClass, SpinMomentumState
 
 __all__ = [
@@ -43,7 +45,7 @@ __all__ = [
     "von_neumann_entropy",
 ]
 
-_LN2 = np.log(2.0)
+_LN2 = math.log(2.0)
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-9
@@ -122,7 +124,7 @@ def density_eigenvalues(rho: np.ndarray) -> np.ndarray:
 def _xlog2x(x):
     """x log2 x elementwise, with 0 log 0 := 0; log2 only ever sees positive values."""
     if isinstance(x, float):
-        return x * np.log2(x) if x > 0.0 else 0.0
+        return x * _apply(np.log2, x) if x > 0.0 else 0.0
     return np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
 
 
@@ -157,7 +159,8 @@ def rest_frame_entropy(eta, helicity_class: HelicityClass):
     eta = _checked(eta, _ETA)
     if helicity_class is HelicityClass.UNEQUAL:
         return _scalar_or_array(np.zeros_like(eta))
-    return _binary_entropy(np.square(np.cos(eta)))  # cos^2 eta lies in [0, 1]
+    c = _apply(np.cos, eta)
+    return _binary_entropy(c * c)  # cos^2 eta lies in [0, 1]
 
 
 def _xi_factor(eta, delta, helicity_class: HelicityClass):
@@ -165,13 +168,10 @@ def _xi_factor(eta, delta, helicity_class: HelicityClass):
 
     The gap is 2p - 1, the spectral gap of the reduced matrix.
     """
-    w = (
-        np.square(np.cos(delta))
-        if helicity_class is HelicityClass.UNEQUAL
-        else np.square(np.sin(delta))
-    )
-    s2 = np.square(np.sin(2.0 * eta))
-    gap = np.sqrt(np.square(np.cos(2.0 * eta)) + w * s2)
+    t = _apply(np.cos if helicity_class is HelicityClass.UNEQUAL else np.sin, delta)
+    s, c = _apply(np.sin, 2.0 * eta), _apply(np.cos, 2.0 * eta)
+    s2 = s * s
+    gap = _sqrt(c * c + t * t * s2)
     return s2, _clip(gap, 1.0)
 
 
@@ -191,7 +191,7 @@ def boosted_entropy_closed_form(eta, delta, helicity_class: HelicityClass):
 
 def _slope(delta, s2, gap):
     """The derivative's expression, for gap strictly inside (0, 1)."""
-    return -np.sin(2.0 * delta) * s2 * np.arctanh(gap) / (2.0 * gap * _LN2)
+    return -_apply(np.sin, 2.0 * delta) * s2 * _apply(np.arctanh, gap) / (2.0 * gap * _LN2)
 
 
 def boosted_entropy_derivative(eta, delta):
@@ -241,5 +241,6 @@ def entanglement_difference_bound(eta, delta, helicity_class: HelicityClass):
         difference = boosted - rest
     else:
         difference = rest - boosted
-    bound = np.square(np.sin(2.0 * eta)) * np.square(np.sin(delta)) / (2.0 * _LN2)
+    s, t = _apply(np.sin, 2.0 * eta), _apply(np.sin, delta)
+    bound = s * s * (t * t) / (2.0 * _LN2)
     return _scalar_or_array(difference), _scalar_or_array(bound)

@@ -26,9 +26,15 @@ NaN, infinite or out-of-range values raise ValueError.  Huge finite
 matrix entries are valid: ``rotation_axis`` still returns the unit axis,
 and ``lorentz_defect`` inf where the residual overflows.  A float
 argument skips numpy's 0-d array machinery but evaluates the same ufunc
-expressions, so it gives the array bits.  ``wigner_angle_matrix_form``
-takes the same arithmetic with float and array speeds; ``math.sqrt`` and
-``np.sqrt`` are both correctly rounded, so the bits agree there too.
+expressions, so it gives the array bits.  A ufunc result on a float
+becomes a Python float at once (``_apply``), because arithmetic on an
+``np.float64`` costs two to three times as much; squares are products
+``x * x``, which round as ``np.square`` does; square roots go through
+``_sqrt``, where ``math.sqrt`` and ``np.sqrt`` are both correctly
+rounded.  Every other kernel stays numpy's: ``math.atan2``, ``asin``,
+``acos``, ``log2`` and ``atanh`` can differ from it in the last bit.
+``wigner_angle_matrix_form`` takes the same arithmetic with float and
+array speeds, so its bits agree too.
 """
 
 from __future__ import annotations
@@ -116,6 +122,11 @@ def _scalar_or_array(x):
     return float(x) if isinstance(x, float) or np.ndim(x) == 0 else x
 
 
+def _apply(f, x):
+    """f(x) for a ufunc f: a Python float for a float x, so later arithmetic skips numpy."""
+    return float(f(x)) if isinstance(x, float) else f(x)
+
+
 def _clip(x, upper):
     """x clipped into [0, upper]: min/max for a float, np.clip otherwise."""
     if isinstance(x, float):
@@ -150,7 +161,7 @@ def _speed_factor(u, v):
     """Unchecked D of float or float64-array speeds; callers validate ``u`` and ``v`` first."""
     gu, gv = _gamma(u), _gamma(v)
     num = (gu + 1.0) * (gv + 1.0)
-    den = (np.square(u) * gu * gu / (gu + 1.0)) * (np.square(v) * gv * gv / (gv + 1.0))
+    den = (u * u * gu * gu / (gu + 1.0)) * (v * v * gv * gv / (gv + 1.0))
     if isinstance(den, float):
         # den is 0 for a zero (or underflowing) speed: D = +inf.  Python
         # float division overflows to inf silently, without np.errstate.
@@ -179,7 +190,7 @@ def wigner_angle_cos_form(u, v, phi):
     gu, gv = _gamma(u), _gamma(v)
     w = gu * gv * (1.0 + u * v * cos_phi)
     den = (gu + 1.0) * (gv + 1.0) * (w + 1.0)
-    sin_half = gu * gv * u * v * sin_phi / np.sqrt(2.0 * den)
+    sin_half = gu * gv * u * v * sin_phi / _sqrt(2.0 * den)
     return _scalar_or_array(2.0 * np.arcsin(_clip(sin_half, 1.0)) + 0.0)  # + 0.0: no -0.0
 
 
@@ -225,8 +236,8 @@ def ultra_relativistic_condition(u, v, phi):
     blindly; the unsquared form is used here.
     """
     phi = _checked(phi, _PHI)
-    cond = np.sin(phi) - np.cos(phi) >= speed_factor_d(u, v)
-    return bool(cond) if cond.ndim == 0 else cond
+    cond = _apply(np.sin, phi) - _apply(np.cos, phi) >= speed_factor_d(u, v)
+    return cond if isinstance(cond, np.ndarray) else bool(cond)
 
 
 def equal_speed_ultra_threshold(phi: float) -> float:
@@ -329,7 +340,7 @@ def _spinor_boost_along(speed, direction):
     """
     c, k = _half_rapidity(_gamma(speed))
     k = k * speed
-    return c, [k * n for n in direction]
+    return c, (k * direction[0], k * direction[1], k * direction[2])
 
 
 def _spinor_product(first, second):
@@ -343,7 +354,7 @@ def _spinor_product(first, second):
     a0^2 + |q|^2 - |p|^2 = det = 1.
     """
     (c1, s1), (c2, s2) = first, second
-    p = tuple(c1 * b + c2 * a for a, b in zip(s1, s2))
+    p = (c1 * s2[0] + c2 * s1[0], c1 * s2[1] + c2 * s1[1], c1 * s2[2] + c2 * s1[2])
     return c1 * c2 + _dot(s1, s2), p, _cross(s2, s1)
 
 
@@ -443,11 +454,11 @@ def _standard_geometry(u, v, phi):
     """
     u, v, phi = _checked(u, _U), _checked(v, _V), _checked(phi, _PHI)
     if isinstance(phi, float):
-        sin_phi = 0.0 if phi == 0.0 or phi == math.pi else np.sin(phi)
+        sin_phi = 0.0 if phi == 0.0 or phi == math.pi else _apply(np.sin, phi)
     else:
         # masked in place: np.where would hold a second full-size sin array
         sin_phi = np.sin(phi, out=np.zeros_like(phi), where=(phi != 0.0) & (phi < math.pi))
-    return u, v, (sin_phi, 0.0, np.cos(phi))
+    return u, v, (sin_phi, 0.0, _apply(np.cos, phi))
 
 
 def standard_boost_vectors(u, v, phi) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,9 @@ Construction, preparation, boosting and the gate maps work on the four
 amplitudes as Python floats and complex numbers: on a 4-element array
 numpy's per-call cost is many times the arithmetic.  cos and sin stay
 numpy's, because the ``math`` versions can differ from them in the last
-bit.  Scalar inputs (eta, delta) accept floats, ints, bools, real numpy
+bit, but their results become Python floats at once.  A state holds a
+read-only complex128 copy of its amplitudes, so the caller's array stays
+its own.  Scalar inputs (eta, delta) accept floats, ints, bools, real numpy
 scalars and 0-d arrays, tested in their own dtype and evaluated in
 float64; anything else is refused with the range message.
 """
@@ -85,12 +87,13 @@ class SpinMomentumState:
             raise ValueError(
                 f"state must have 4 amplitudes {AMPLITUDE_ORDER}, got {amp.size}"
             )
-        amp = amp.reshape(4)
+        if amp.ndim != 1:
+            amp = amp.reshape(4)
         m0, m1, m2, m3 = map(abs, amp.tolist())
         norm_sq = m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3
         if not abs(norm_sq - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"state must be normalized, got |amplitudes|^2 = {norm_sq}")
-        amp.flags.writeable = False
+        amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
     def to_json_dict(self) -> dict:

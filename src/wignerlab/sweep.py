@@ -225,13 +225,20 @@ def _csv_chunks(header: tuple, columns):
 # Table values are real; NaN and inf are valid.  The test allocates nothing.
 _TABLE_VALUES = (lambda x: np.True_, "table values must be real")
 _SWEEP_HEADER = ("phi", "delta", "entropy_bits")
+_CSV_SEPARATORS = frozenset(",\r\n")
 
 
 def _table_columns(header: tuple, columns) -> tuple:
-    """Float64 ``columns``; ValueError unless one real 1-d column per name, all of one length."""
+    """Float64 ``columns``; ValueError unless one real 1-d column per name, all of one length.
+
+    Each name is a ``str`` without a comma or line break, so that the CSV
+    header has exactly one field per column.
+    """
     columns = tuple(_checked(column, _TABLE_VALUES) for column in columns)
     if not header or len(columns) != len(header):
         raise ValueError(f"need one column of values per name, got {len(columns)} for {header}")
+    if not all(isinstance(n, str) and not _CSV_SEPARATORS.intersection(n) for n in header):
+        raise ValueError(f"column names must be str without a comma or line break, got {header}")
     shapes = [np.shape(column) for column in columns]
     if len(shapes[0]) != 1 or shapes.count(shapes[0]) != len(shapes):
         raise ValueError(
@@ -336,7 +343,13 @@ class Dataset:
     metadata: dict
 
     def __post_init__(self):
-        columns = _table_columns(self.columns, np.atleast_1d(np.transpose(self.rows)))
+        try:
+            rows = np.transpose(self.rows)
+        except ValueError:  # numpy refuses ragged rows
+            raise ValueError(
+                f"need one column of values per name, got ragged rows for {self.columns}"
+            ) from None
+        columns = _table_columns(self.columns, np.atleast_1d(rows))
         object.__setattr__(self, "rows", np.transpose(columns))
 
     def csv_chunks(self):

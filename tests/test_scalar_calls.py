@@ -13,7 +13,8 @@ an array one.
 
 Inputs are seeded values plus an edge grid: speeds at and next to 0 and
 1, angles at and next to 0 and pi, and the 0 log 0 and gap = 0 or 1
-corners of the entropies.
+corners of the entropies.  A hypothesis property adds random float
+inputs in each regime (``test_random_floats_agree_to_the_bit``).
 """
 
 import itertools
@@ -21,6 +22,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wignerlab.entanglement as ent
 import wignerlab.kinematics as kin
@@ -263,3 +266,57 @@ def test_scalar_call_returns_python_float(name, convert):
 def test_ultra_condition_returns_python_bool(convert, phi):
     result = kin.ultra_relativistic_condition(convert(0.995), convert(0.995), convert(phi))
     assert type(result) is bool
+
+
+# Random floats by regime: speeds log-spaced from 1e-8 up and in their gap
+# to 1 down to 1e-12, and angles log-spaced about the points where the
+# sin, cos and clip branches meet.
+_SPEED_MIN, _SPEED_MAX = 1e-8, 1.0 - 1e-12
+_speeds = st.one_of(
+    st.floats(-8.0, 0.0).map(lambda e: 10.0**e),
+    st.floats(-12.0, 0.0).map(lambda e: 1.0 - 10.0**e),
+).map(lambda x: min(max(x, _SPEED_MIN), _SPEED_MAX))
+
+
+def _near(*centers):
+    """A center, or a center moved by a log-spaced offset of either sign."""
+    offsets = st.one_of(
+        st.just(0.0), st.builds(lambda e, sign: sign * 10.0**e, st.floats(-16.0, 0.0),
+                                st.sampled_from((-1.0, 1.0)))
+    )
+    return st.builds(lambda c, d: c + d, st.sampled_from(centers), offsets)
+
+
+_phis = _near(0.0, math.pi / 2, math.pi).map(lambda x: min(max(x, 0.0), math.pi))
+_etas = _near(0.0, math.pi / 4, math.pi / 2)
+
+
+@given(_speeds, _speeds, _phis, _etas)
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_random_floats_agree_to_the_bit(u, v, phi, eta):
+    """A call on floats gives the bits of the call on one-element arrays.
+
+    The closed forms and the derivative take both the tan-form delta of
+    the geometry and phi itself as delta, so delta also lands near 0,
+    pi/2 and pi.
+    """
+    delta = kin.wigner_angle_tan_form(u, v, phi)
+    calls = [
+        (route, (u, v, phi)) for route in (
+            kin.wigner_angle_tan_form,
+            kin.wigner_angle_cos_form,
+            kin.wigner_angle_matrix_form,
+            kin.ultra_relativistic_condition,
+        )
+    ]
+    calls.append((kin.argmax_boost_angle, (u, v)))
+    for d in (delta, phi):
+        calls += [
+            (lambda e, d, cls=cls: ent.boosted_entropy_closed_form(e, d, cls), (eta, d))
+            for cls in HelicityClass
+        ]
+        calls.append((ent.boosted_entropy_derivative, (eta, d)))
+    for call, args in calls:
+        scalar = call(*args)
+        assert type(scalar) is (bool if call is kin.ultra_relativistic_condition else float)
+        assert _bits(scalar) == _bits(call(*(np.array([x]) for x in args))), (call, args)

@@ -361,6 +361,25 @@ class TestStateType:
         assert s.amplitudes.shape == (4,)
         assert np.array_equal(s.amplitudes, [0.6, 0.0, 0.0, 0.8j])
 
+    @pytest.mark.parametrize(
+        "amps",
+        [
+            np.array([0.6, 0.0, 0.0, 0.8j]),
+            np.array([0.6, 0.0, 0.0, 0.8]),
+            np.array([[0.6, 0.0], [0.0, 0.8j]]),
+        ],
+        ids=["complex", "real", "2x2"],
+    )
+    def test_constructor_copies_and_freezes(self, amps):
+        """The state holds a read-only complex128 copy; the caller's array stays its own."""
+        before = amps.ravel().astype(complex)
+        s = SpinMomentumState(amplitudes=amps)
+        assert s.amplitudes.dtype == np.complex128 and s.amplitudes.shape == (4,)
+        assert not s.amplitudes.flags.writeable
+        assert amps.flags.writeable
+        amps[...] = 0.5
+        assert np.array_equal(s.amplitudes, before)
+
     def test_json_round_trip(self):
         b = boost_state(prepare_state(HelicityClass.UNEQUAL, 0.9), 1.4)
         payload = b.to_json_dict()

@@ -669,8 +669,27 @@ class TestSerialization:
                 "need one column of values per name, 1-d and of one length,"
                 " got shapes [(3,), (2,), (3,)]",
             ),
+            (
+                lambda: Dataset(columns=("a", "b"), rows=[[1, 2], [3]], metadata={}),
+                "need one column of values per name, got ragged rows for ('a', 'b')",
+            ),
+            (
+                lambda: Dataset(columns=("a,b", "c"), rows=[[1, 2]], metadata={}),
+                "column names must be str without a comma or line break, got ('a,b', 'c')",
+            ),
+            (
+                lambda: Dataset(columns=("a", "b\r\n"), rows=[[1, 2]], metadata={}),
+                "column names must be str without a comma or line break, got ('a', 'b\\r\\n')",
+            ),
+            (
+                lambda: Dataset(columns=(1, 2), rows=[[1, 2]], metadata={}),
+                "column names must be str without a comma or line break, got (1, 2)",
+            ),
         ],
-        ids=["2-names-3-wide", "no-names", "none-row", "unequal-lengths"],
+        ids=[
+            "2-names-3-wide", "no-names", "none-row", "unequal-lengths",
+            "ragged-rows", "comma-in-name", "line-break-in-name", "int-names",
+        ],
     )
     def test_rows_must_match_the_header(self, make, message):
         # Refused at construction, before either format can read the table.
