@@ -11,15 +11,37 @@ sweeps it over the boosting geometry, and verifies its own invariants.
 The namespace re-exports each module's ``__all__`` (``entanglement``,
 ``kinematics``, ``states`` and ``sweep``), so every public name is
 declared once, in its own module; ``verify`` and ``cli`` stay out of it.
+The four modules load on first use of any public name or of ``__all__``
+(a module ``__getattr__``, PEP 562), so ``import wignerlab`` alone does
+not import numpy.  That leaves ``wignerlab.cli`` room to set numpy's
+BLAS thread count before numpy loads.
 """
 
-from . import entanglement, kinematics, states, sweep
-from ._version import __version__
-from .entanglement import *
-from .kinematics import *
-from .states import *
-from .sweep import *
+import importlib
 
-__all__ = sorted(
-    ["__version__", *entanglement.__all__, *kinematics.__all__, *states.__all__, *sweep.__all__]
-)
+from ._version import __version__
+
+_MODULES = ("entanglement", "kinematics", "states", "sweep")
+
+
+def _load_namespace() -> None:
+    """Bind every module's public names here, and ``__all__`` to their sorted list."""
+    names = {"__version__": __version__}
+    for module_name in _MODULES:
+        module = importlib.import_module(f".{module_name}", __name__)
+        names.update((name, getattr(module, name)) for name in module.__all__)
+    globals().update(names, __all__=sorted(names))
+
+
+def __getattr__(name: str):
+    if "__all__" not in globals():
+        _load_namespace()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    if "__all__" not in globals():
+        _load_namespace()
+    return sorted(globals())

@@ -10,6 +10,13 @@ success, 1 on usage or validation errors and on an output file that
 cannot be written, 2 when verification fails.
 Files are written atomically (temp file + rename), so no partial output
 is left behind on error; CSV rows go to the temp file a chunk at a time.
+
+A process that imports this module before numpy runs numpy's BLAS on
+one thread, unless ``OPENBLAS_NUM_THREADS`` is already set.  Its largest
+matrix product is a stack of 4x4s, and OpenBLAS would otherwise start a
+worker thread at ``import numpy`` that only spins and burns CPU time.
+``import wignerlab`` loads no numpy, so both ``python -m wignerlab.cli``
+and the ``wignerlab`` script get here first.
 """
 
 from __future__ import annotations
@@ -22,6 +29,9 @@ import math
 import os
 import sys
 import tempfile
+
+if "numpy" not in sys.modules:  # the setting is read once, when numpy loads
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import kinematics as kin
 from ._version import __version__

@@ -95,9 +95,13 @@ def _checked(x, rule):
         if test(x):
             return x
     else:
-        x = np.asarray(x)
-        if x.dtype.kind in "biuf" and test(x).all():
-            return x.astype(float, copy=False)
+        try:
+            x = np.asarray(x)
+        except ValueError:  # numpy refuses a ragged sequence
+            pass
+        else:
+            if x.dtype.kind in "biuf" and test(x).all():
+                return x.astype(float, copy=False)
     raise ValueError(f"{message}, got {x}")
 
 
@@ -112,9 +116,14 @@ def _checked_scalar(x, rule):
 def _is_real_scalar(x) -> bool:
     """Whether x is a real 0-d number: a float, int, bool, real numpy scalar or 0-d array.
 
-    Complex numbers, strings and None are not.
+    Complex numbers, strings, None and ragged sequences are not.
     """
-    return isinstance(x, float) or (np.ndim(x) == 0 and np.asarray(x).dtype.kind in "biuf")
+    if isinstance(x, float):
+        return True
+    try:
+        return np.ndim(x) == 0 and np.asarray(x).dtype.kind in "biuf"
+    except ValueError:  # numpy refuses a ragged sequence
+        return False
 
 
 def _scalar_or_array(x):

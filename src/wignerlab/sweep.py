@@ -231,14 +231,17 @@ _CSV_SEPARATORS = frozenset(",\r\n")
 def _table_columns(header: tuple, columns) -> tuple:
     """Float64 ``columns``; ValueError unless one real 1-d column per name, all of one length.
 
-    Each name is a ``str`` without a comma or line break, so that the CSV
-    header has exactly one field per column.
+    ``header`` is a sequence of names, not one ``str``, and each name is a
+    ``str`` without a comma or line break, so that the CSV header has
+    exactly one field per column.
     """
     columns = tuple(_checked(column, _TABLE_VALUES) for column in columns)
     if not header or len(columns) != len(header):
         raise ValueError(f"need one column of values per name, got {len(columns)} for {header}")
-    if not all(isinstance(n, str) and not _CSV_SEPARATORS.intersection(n) for n in header):
-        raise ValueError(f"column names must be str without a comma or line break, got {header}")
+    if isinstance(header, str) or not all(
+        isinstance(n, str) and not _CSV_SEPARATORS.intersection(n) for n in header
+    ):
+        raise ValueError(f"column names must be str without a comma or line break, got {header!r}")
     shapes = [np.shape(column) for column in columns]
     if len(shapes[0]) != 1 or shapes.count(shapes[0]) != len(shapes):
         raise ValueError(

@@ -488,3 +488,36 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+def _child(code: str, **env) -> str:
+    """Stdout of a fresh interpreter running ``code``, with ``env`` and no other BLAS setting."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**base, **env}, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+_BLAS_SETTING = "print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+
+
+class TestProcessSetUp:
+    """The CLI starts numpy with one BLAS thread unless the caller chose a count."""
+
+    def test_package_import_loads_no_numpy(self):
+        assert _child("import sys, wignerlab; print('numpy' in sys.modules)") == "False"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_cli_first_runs_numpy_on_one_thread(self):
+        out = _child(
+            f"import os, wignerlab.cli; {_BLAS_SETTING}; print(len(os.listdir('/proc/self/task')))"
+        )
+        assert out.split() == ["1", "1"]
+
+    def test_a_chosen_thread_count_is_kept(self):
+        assert _child(f"import os, wignerlab.cli; {_BLAS_SETTING}", OPENBLAS_NUM_THREADS="2") == "2"
+
+    def test_numpy_first_leaves_the_environment_alone(self):
+        assert _child(f"import os, numpy, wignerlab.cli; {_BLAS_SETTING}") == "None"

@@ -685,10 +685,14 @@ class TestSerialization:
                 lambda: Dataset(columns=(1, 2), rows=[[1, 2]], metadata={}),
                 "column names must be str without a comma or line break, got (1, 2)",
             ),
+            (
+                lambda: Dataset(columns="ab", rows=[[1, 2]], metadata={}),
+                "column names must be str without a comma or line break, got 'ab'",
+            ),
         ],
         ids=[
             "2-names-3-wide", "no-names", "none-row", "unequal-lengths",
-            "ragged-rows", "comma-in-name", "line-break-in-name", "int-names",
+            "ragged-rows", "comma-in-name", "line-break-in-name", "int-names", "str-header",
         ],
     )
     def test_rows_must_match_the_header(self, make, message):
