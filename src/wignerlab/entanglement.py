@@ -125,7 +125,11 @@ def _xlog2x(x):
     """x log2 x elementwise, with 0 log 0 := 0; log2 only ever sees positive values."""
     if isinstance(x, float):
         return x * _apply(np.log2, x) if x > 0.0 else 0.0
-    return np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
+    out = np.zeros_like(x)
+    np.log2(x, out=out, where=x > 0.0)
+    out *= x
+    out += 0.0  # 0 * -0.0 is -0.0
+    return out
 
 
 def binary_entropy(p):

@@ -20,11 +20,15 @@ endings; JSON as {"metadata": ..., "rows": ...}.  Identical inputs
 produce byte-identical text.  Every CSV field is exactly
 ``format(x, ".17g")``: fields with 1e-4 <= |x| < 1e16 come from exact
 integer arithmetic on arrays, and every other value goes through ``%``.
+Each array-formatted field fills a fixed 40-byte slot from lookup tables,
+and one boolean compress keeps its bytes, one run of them for |x| < 1
+and two for larger values (the layout is drawn above ``_CSV_SLOT``).
 The CSV comes out as byte chunks of ``_CSV_CHUNK_ROWS`` rows
 (``csv_chunks``), which the CLI writes into its temp file one at a time,
 so a sweep never holds its whole text in memory; ``to_csv_text`` joins
 them.  Both table types check their columns once, at construction
-(``_table_columns``), and both formats read only the checked columns.
+(``_table_columns``), and both formats read only the checked columns;
+a ``Dataset`` keeps its names as the checked tuple.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -83,51 +88,63 @@ _CSV_CHUNK_ROWS = 4_096
 # character its text can use, at fixed columns, and a keep-mask row picks
 # the characters it does use:
 #
-#   byte  0      separator before the field: LF in the first column, "," after
-#         1      "-"
-#         2-3    "0."                       (E < 0)
-#         4-6    "000", the last -E-1 kept  (E < -1)
+#   byte  0-6    prefix, ending at byte 6: the separator before the field
+#                (LF in the first column, "," after), "-", and for E < 0
+#                "0." and -E-1 zeros
 #         7      d0
 #         8-23   d1..d16                    (E < 0: all; E >= 0: up to dE)
-#         24-30  unused
-#         31     "."                        (E >= 0 with fraction digits)
-#         32-47  d1..d16 again              (E >= 0: from d(E+1))
+#         24-39  d1..d16 again, with "." over the byte before d(E+1)
+#                (byte 23 + E; E >= 0, kept from there when x has
+#                fraction digits)
 #
-# Leading and trailing zeros are dropped by the mask, so no column depends on
-# the value.  The mask row depends only on E and the count of trailing zeros
-# of D, and is read from a table.
-_CSV_SLOT = 48
+# So a field's kept bytes are one run for |x| < 1 and two for |x| >= 1: the
+# boolean compress that gathers them pays per run.  The prefix row depends
+# on E, the sign and the separator; the mask row on those and the count of
+# trailing zeros of D.  Both are read from tables.
+_CSV_SLOT = 40
+_CSV_E = range(-5, 17)  # log10 can be one off for in-range values: see _csv_significands
+
+
+def _csv_prefix_index(e, negative, comma):
+    """Row of the prefix table, and of the keep table's block, for exponent, sign and separator."""
+    return (e - _CSV_E.start) * 4 + comma * 2 + negative
 
 
 @functools.cache
-def _csv_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _csv_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The formatter's lookup tables, built on the first CSV write.
 
     - ``"0000".."9999"`` as four ASCII bytes read as one uint32;
     - their trailing zeros, with 16 for 0000, so that the minimum over the
       groups of D of (zeros of the group + 4 * groups after it) counts them
       for all of D;
-    - the keep-mask rows of the slot, indexed by
-      ``(E + 5) * 17 + trailing zeros``.  E runs over -5..16 because log10
-      can be one off for in-range values; those values go to the fallback,
-      which replaces their row.
+    - the slot's bytes 0-7 as one uint64 per prefix row
+      (:func:`_csv_prefix_index`); byte 7 is left for d0;
+    - the keep-mask rows of the slot, indexed by prefix row * 17 + trailing
+      zeros.  The rows for E = -5 and 16 serve only values whose exponent
+      estimate is off; those go to the fallback, which replaces them.
     """
     digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # thousands .. units
     quads = (np.ascontiguousarray(digits.T) + ord("0")).view(np.uint32).ravel()
-    trailing = np.logical_and.accumulate(digits[::-1] == 0).sum(axis=0)
+    trailing = np.logical_and.accumulate(digits[::-1] == 0).sum(axis=0, dtype=np.int8)
     trailing[0] = 16
 
-    e = np.arange(-5, 17)[:, None, None]
-    last = 16 - np.arange(17)[None, :, None]  # index of the last nonzero digit
+    # In the order of _csv_prefix_index: E, then the separator, then the sign.
+    heads = [
+        ("\n,"[comma] + "-" * negative + ("0." + "0" * (-e - 1)) * (e < 0))[-7:]
+        for e in _CSV_E
+        for comma in (0, 1)
+        for negative in (0, 1)
+    ]  # [-7:]: E = -5 with "-" would not fit, and is never kept
+    prefixes = np.frombuffer("".join(h.rjust(7) + " " for h in heads).encode(), np.uint64).copy()
+    start = 7 - np.array([len(h) for h in heads])[:, None, None]
+    e = np.repeat(_CSV_E, 4)[:, None, None]
+    last = 16 - np.arange(17)[:, None]  # index of the last nonzero digit
     col = np.arange(_CSV_SLOT)
-    below_one = e < 0
-    keep = (
-        (col == 0)
-        | below_one & ((col == 2) | (col == 3) | (col >= 8 + e) & (col <= 6))
-        | (col >= 7) & (col <= 7 + np.where(below_one, last, e))
-        | ~below_one & (last > e) & ((col == 31) | (col >= 32 + e) & (col <= 31 + last))
-    )
-    tables = quads, trailing, keep.reshape(-1, _CSV_SLOT)
+    integer_end = 7 + np.where(e < 0, last, np.minimum(e, 16))
+    fraction = (e >= 0) & (last > e) & (col >= 23 + e) & (col <= 23 + last)
+    keep = (col >= start) & (col <= integer_end) | fraction
+    tables = quads, trailing, prefixes, keep.reshape(-1, _CSV_SLOT)
     for table in tables:  # shared by every caller
         table.flags.writeable = False
     return tables
@@ -141,17 +158,16 @@ _POW10_HI = _VELTKAMP * _POW10 - (_VELTKAMP * _POW10 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 
 
-def _csv_fields(block: np.ndarray, heads: np.ndarray, tables: tuple) -> np.ndarray:
-    """ASCII bytes of the ``%.17g`` fields of a block of rows, each after its separator.
+def _csv_significands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(fixed, e, d)``: which values take fixed notation here, and their E and D.
 
-    ``heads`` holds, per column, the slot's first four bytes: the
-    separator, "-" and "0.".  ``tables`` is :func:`_csv_tables`.
+    ``fixed`` is False for the values that ``"%.17g"`` writes otherwise
+    and for those whose exponent estimate is off; their E and D mean
+    nothing.
     """
-    quads, quad_trailing_zeros, keep_rows = tables
-    x = block.ravel()
     a = np.abs(x)
     fixed = (a >= 1e-4) & (a < 1e16)  # NaN fails too
-    a = np.where(fixed, a, 1.0)
+    np.copyto(a, 1.0, where=~fixed)
     # Dekker's two-product splits |x| * 10**(16 - E) exactly into p + err.
     # For the right E, p >= 1e16 > 2**53 is an even integer, so rounding
     # p + err half to even (as CPython's dtoa does) is p + rint(err).  A D
@@ -161,42 +177,81 @@ def _csv_fields(block: np.ndarray, heads: np.ndarray, tables: tuple) -> np.ndarr
     # than half a unit of the 17th digit below it.
     e = np.floor(np.log10(a)).astype(np.int64)
     k = 16 - e
-    scale, scale_hi, scale_lo = _POW10[k], _POW10_HI[k], _POW10_LO[k]
-    p = a * scale
-    split = _VELTKAMP * a
-    a_hi = split - (split - a)
-    a_lo = a - a_hi
-    err = ((a_hi * scale_hi - p) + a_hi * scale_lo + a_lo * scale_hi) + a_lo * scale_lo
-    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    scale_hi, scale_lo = _POW10_HI[k], _POW10_LO[k]
+    p = _POW10[k]
+    p *= a
+    a_hi = _VELTKAMP * a  # Veltkamp: a_hi = split - (split - a), a_lo = a - a_hi
+    a_lo = a_hi - a
+    a_hi -= a_lo
+    a_lo = np.subtract(a, a_hi, out=a_lo)
+    # err = ((a_hi * scale_hi - p) + a_hi * scale_lo + a_lo * scale_hi) + a_lo * scale_lo,
+    # summed in that order, each product in an array it no longer needs.
+    err = a_hi * scale_hi
+    err -= p
+    err += np.multiply(a_hi, scale_lo, out=a_hi)
+    err += np.multiply(a_lo, scale_hi, out=scale_hi)
+    err += np.multiply(a_lo, scale_lo, out=a_lo)
+    d = p.astype(np.int64)
+    d += np.rint(err, out=err).astype(np.int64)
     fixed &= (d >= 10**16) & (d < 10**17)
+    return fixed, e, d
 
-    words = np.empty((x.size, _CSV_SLOT // 4), np.uint32)
-    words.reshape(-1, heads.size, _CSV_SLOT // 4)[:, :, 0] = heads
-    trailing = np.full(x.size, 16)
+
+def _csv_fields(block: np.ndarray, separators: np.ndarray, tables: tuple) -> np.ndarray:
+    """ASCII bytes of the ``%.17g`` fields of a block of rows, each after its separator.
+
+    ``separators`` holds, per value of a full block in row order, the
+    prefix row of its column at E = 0 and a positive sign,
+    ``_csv_prefix_index(0, 0, comma)``: the separator alone.  ``tables``
+    is :func:`_csv_tables`.
+    """
+    quads, quad_trailing_zeros, prefixes, keep_rows = tables
+    x = block.ravel()
+    fixed, e, d = _csv_significands(x)
+
+    slots = np.empty((x.size, _CSV_SLOT), np.uint8)
+    words = slots.view(np.uint32)
+    separators = separators[: x.size]
+    row = e * 4  # _csv_prefix_index(e, negative, comma), summed in place
+    row += separators
+    row += np.signbit(x)
+    slots.view(np.uint64)[:, 0] = prefixes[row]
     for col in (5, 4, 3, 2):  # d13..d16, d9..d12, d5..d8, d1..d4
         q = d // 10_000
         r = d - q * 10_000
         words[:, col] = quads[r]
-        trailing = np.minimum(trailing, 4 * (5 - col) + quad_trailing_zeros[r])
+        if col == 5:  # D's trailing zeros are those of d13..d16, unless they are 0000
+            trailing = quad_trailing_zeros[r]
+            zeros = np.flatnonzero(r == 0)
+            rest = q[zeros]  # d0..d12
         d = q
-    words[:, 1] = quads[d]  # "000" d0
-    wide = words.view(np.uint64)
-    wide[:, 4:6] = wide[:, 1:3]  # d1..d16 again, at bytes 32-47
-    slots = words.view(np.uint8)
-    slots[:, 31] = ord(".")
-    keep = keep_rows.take((e + 5) * 17 + trailing, axis=0)
-    keep[:, 1] = x < 0
+    np.add(d, ord("0"), out=slots[:, 7], casting="unsafe")  # d0
+    if zeros.size:
+        count = np.full(zeros.size, 16)
+        for shift in (4, 8, 12):
+            count = np.minimum(count, shift + quad_trailing_zeros[rest % 10_000])
+            rest = rest // 10_000
+        trailing[zeros] = count
+    # d1..d16 again, as one 16-byte item per slot, then "." before d(E+1).
+    # E < 0 puts the "." at bytes 34-38, which such fields never keep.
+    slots[:, 24:].view("V16")[...] = slots[:, 8:24].view("V16")
+    slots.reshape(-1)[np.bitwise_and(e, 15) + np.arange(23, slots.size, _CSV_SLOT)] = ord(".")
+    row *= 17
+    row += trailing
+    keep = keep_rows.take(row, axis=0)
 
-    fallback = np.flatnonzero(~fixed)
-    if fallback.size:
+    if not fixed.all():
+        fallback = np.flatnonzero(~fixed)
         # "%.17g" of a double takes at most 24 characters, as in
         # -2.2250738585072014e-308; each field is padded to 24 with spaces
-        # and goes to bytes 1-24 of its slot.
+        # and goes to bytes 7-30 of its slot, after its bare separator.
         text = ("%-24.17g" * fallback.size) % tuple(x[fallback].tolist())
         chars = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 24)
-        slots[fallback, 1:25] = chars
-        keep[fallback, 1:] = False
-        keep[fallback, 1:25] = chars != ord(" ")
+        slots.view(np.uint64)[fallback, 0] = prefixes[separators[fallback]]
+        slots[fallback, 7:31] = chars
+        keep[fallback] = False
+        keep[fallback, 6] = True
+        keep[fallback, 7:31] = chars != ord(" ")
     return slots[keep]
 
 
@@ -213,12 +268,13 @@ def _csv_chunks(header: tuple, columns):
     the chunks as they come never holds the whole text.  The columns are
     a table's, checked at its construction by :func:`_table_columns`.
     """
-    heads = np.frombuffer(("\n-0." + ",-0." * (len(header) - 1)).encode("ascii"), np.uint32)
+    columns_separator = _csv_prefix_index(0, 0, np.arange(len(header)) > 0)
+    separators = np.tile(columns_separator, _CSV_CHUNK_ROWS)
     tables = _csv_tables()
     yield ",".join(header).encode()
     for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
         block = np.column_stack([column[start : start + _CSV_CHUNK_ROWS] for column in columns])
-        yield _csv_fields(block, heads, tables).data
+        yield _csv_fields(block, separators, tables).data
     yield b"\n"
 
 
@@ -236,12 +292,14 @@ def _table_columns(header: tuple, columns) -> tuple:
     exactly one field per column.
     """
     columns = tuple(_checked(column, _TABLE_VALUES) for column in columns)
-    if not header or len(columns) != len(header):
-        raise ValueError(f"need one column of values per name, got {len(columns)} for {header}")
-    if isinstance(header, str) or not all(
-        isinstance(n, str) and not _CSV_SEPARATORS.intersection(n) for n in header
+    if (
+        not isinstance(header, Sequence)
+        or isinstance(header, str)
+        or not all(isinstance(n, str) and not _CSV_SEPARATORS.intersection(n) for n in header)
     ):
         raise ValueError(f"column names must be str without a comma or line break, got {header!r}")
+    if not header or len(columns) != len(header):
+        raise ValueError(f"need one column of values per name, got {len(columns)} for {header}")
     shapes = [np.shape(column) for column in columns]
     if len(shapes[0]) != 1 or shapes.count(shapes[0]) != len(shapes):
         raise ValueError(
@@ -339,7 +397,10 @@ class SweepSeries:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Generic figure table: named columns, float rows, metadata."""
+    """Generic figure table: named columns, float rows, metadata.
+
+    ``columns`` is kept as the tuple of names that was checked.
+    """
 
     columns: tuple
     rows: np.ndarray
@@ -353,6 +414,7 @@ class Dataset:
                 f"need one column of values per name, got ragged rows for {self.columns}"
             ) from None
         columns = _table_columns(self.columns, np.atleast_1d(rows))
+        object.__setattr__(self, "columns", tuple(self.columns))  # the names as checked
         object.__setattr__(self, "rows", np.transpose(columns))
 
     def csv_chunks(self):

@@ -77,9 +77,10 @@ class CheckResult:
 
 
 def _angle_grid(n: int, lo: float = 0.01, hi: float = 0.99):
+    """The (u, v, phi) grid as three broadcast axes, so it is never stored n**3 times over."""
     speeds = np.linspace(lo, hi, n)
     phis = np.linspace(0.0, math.pi, n)
-    return np.meshgrid(speeds, speeds, phis, indexing="ij")
+    return np.meshgrid(speeds, speeds, phis, indexing="ij", sparse=True)
 
 
 def _check_angle_forms(n: int, rng) -> list[tuple]:
@@ -119,7 +120,7 @@ def _check_degenerate_zero(n: int, rng) -> list[tuple]:
 
 def _check_matrix_oracle(n: int, rng) -> list[tuple]:
     m = min(n, 20)
-    u, v, phi = _angle_grid(m)
+    u, v, phi = np.broadcast_arrays(*_angle_grid(m))  # the masks below index the full grid
     boost, rotation, angle = kin.compose_boosts(*kin.standard_boost_vectors(u, v, phi))
     # The absolute residual floor is ~gamma^2 * eps from entry rounding
     # alone, so the 1e-12 form is only meaningful at moderate composed

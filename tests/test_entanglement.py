@@ -168,6 +168,12 @@ class TestBinaryEntropy:
         h = ent.binary_entropy(np.array([0.0, 0.5, 1.0]))
         assert np.array_equal(h, [0.0, 1.0, 0.0])
 
+    def test_zero_is_positive_zero(self):
+        # 0 log 0 := +0, also for p = -0.0, where x * log2(x) would give -0.0
+        for p in (np.array([-0.0, 0.0, 1.0]), -0.0):
+            assert not np.signbit(ent.binary_entropy(p)).any()
+        assert not np.signbit(ent._xlog2x(np.array([-0.0, 0.0]))).any()
+
     def test_symmetry(self):
         assert ent.binary_entropy(0.3) == pytest.approx(
             ent.binary_entropy(0.7), abs=1e-15

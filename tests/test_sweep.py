@@ -104,6 +104,21 @@ _SPECIAL_FLOATS = np.array(
 )
 
 
+def _fixed_notation_value(exponent, zeros, rng):
+    """A positive double whose "%.17g" digits end in ``zeros`` zeros, at decimal ``exponent``.
+
+    Drawn from random significands with no zero digit, and kept only if
+    the double's correctly rounded 17-digit significand has that shape.
+    """
+    for _ in range(1000):
+        digits = "".join(map(str, rng.integers(1, 10, 17 - zeros)))
+        x = float(f"{digits[0]}.{digits[1:]}e{exponent}")
+        significand, e = f"{x:.16e}".split("e")
+        if int(e) == exponent and len(significand) - len(significand.rstrip("0")) == zeros:
+            return x
+    raise AssertionError(f"no double with exponent {exponent} and {zeros} trailing zeros")
+
+
 def _random_bit_rows(rng, nrows, ncols):
     """Rows of uniformly random float64 bit patterns with the special values mixed in."""
     bits = rng.integers(0, 2**64, size=(nrows, ncols), dtype=np.uint64)
@@ -634,6 +649,19 @@ class TestSerialization:
         rows = np.concatenate([values, -values])[:, None]
         _assert_same_text(_strict_csv_text(("x",), rows), _csv_reference(("x",), rows))
 
+    def test_every_exponent_and_trailing_zero_count_matches_format(self):
+        # Each exponent of fixed notation (-4..15), each count of trailing
+        # zeros of the 17-digit significand (0..16), both signs, in the first
+        # and in a later column: every row of the formatter's prefix and keep
+        # tables, not only those that random values reach.
+        rng = np.random.default_rng(25)
+        values = np.array(
+            [_fixed_notation_value(e, zeros, rng) for e in range(-4, 16) for zeros in range(17)]
+        )
+        column = np.concatenate([values, -values])
+        rows = np.column_stack([column, column[::-1]])
+        _assert_same_text(_strict_csv_text(("a", "b"), rows), _csv_reference(("a", "b"), rows))
+
     def test_tie_rounds_half_to_even(self):
         tie = 1.0 + 2.0**-17  # exactly 1.00000762939453125
         assert _strict_csv_text(("x",), np.array([[tie]])) == "x\n1.0000076293945312\n"
@@ -689,16 +717,28 @@ class TestSerialization:
                 lambda: Dataset(columns="ab", rows=[[1, 2]], metadata={}),
                 "column names must be str without a comma or line break, got 'ab'",
             ),
+            (
+                lambda: Dataset(columns=5, rows=[[1.0]], metadata={}),
+                "column names must be str without a comma or line break, got 5",
+            ),
         ],
         ids=[
             "2-names-3-wide", "no-names", "none-row", "unequal-lengths",
             "ragged-rows", "comma-in-name", "line-break-in-name", "int-names", "str-header",
+            "int-header",
         ],
     )
     def test_rows_must_match_the_header(self, make, message):
         # Refused at construction, before either format can read the table.
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()
+
+    def test_header_is_kept_as_checked(self):
+        names = ["a"]
+        dataset = Dataset(columns=names, rows=[[1.0]], metadata={})
+        names.append("b,c")  # the caller's list changes after the check
+        assert dataset.columns == ("a",)
+        assert dataset.to_csv_text() == "a\n1\n"
 
     def test_zero_row_table_is_the_header_alone(self):
         dataset = Dataset(columns=("u", "v", "ultra"), rows=np.empty((0, 3)), metadata={})
