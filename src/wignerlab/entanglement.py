@@ -73,28 +73,27 @@ def reduced_density_matrix(state: SpinMomentumState, keep: str = "spin") -> np.n
     else:
         raise ValueError(f"keep must be 'spin' or 'momentum', got {keep!r}")
     pc0, pc1, qc0, qc1 = p0.conjugate(), p1.conjugate(), q0.conjugate(), q1.conjugate()
-    return np.array(
-        [
-            [p0 * pc0 + p1 * pc1, p0 * qc0 + p1 * qc1],
-            [q0 * pc0 + q1 * pc1, q0 * qc0 + q1 * qc1],
-        ]
-    )
+    return np.fromiter(
+        (p0 * pc0 + p1 * pc1, p0 * qc0 + p1 * qc1, q0 * pc0 + q1 * pc1, q0 * qc0 + q1 * qc1),
+        complex,
+        4,
+    ).reshape(2, 2)
 
 
 def _eigenvalue_pair(rho) -> tuple[float, float]:
     """(larger, smaller) eigenvalue of a validated 2x2 density matrix, as floats."""
-    rho = np.asarray(rho)
+    if not isinstance(rho, np.ndarray):
+        rho = np.asarray(rho)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
     (r00, r01), (r10, r11) = rho.tolist()
-    # Finiteness first, so that inf - inf never reaches the hermiticity test.
+    # Finiteness first, so that inf - inf never reaches the hermiticity test.  On
+    # the diagonal |z - conj(z)| is exactly 2 |Im z|: the real parts cancel to +0
+    # and the doubling is exact.
+    isfinite = cmath.isfinite
     if not (
-        all(map(cmath.isfinite, (r00, r01, r10, r11)))
-        and max(
-            abs(r00 - r00.conjugate()),
-            abs(r01 - r10.conjugate()),
-            abs(r11 - r11.conjugate()),
-        )
+        isfinite(r00) and isfinite(r01) and isfinite(r10) and isfinite(r11)
+        and max(2.0 * abs(r00.imag), abs(r01 - r10.conjugate()), 2.0 * abs(r11.imag))
         <= _HERMITICITY_TOL
     ):
         raise ValueError("density matrix must be finite and Hermitian")
@@ -108,7 +107,8 @@ def _eigenvalue_pair(rho) -> tuple[float, float]:
         raise ValueError(
             f"density matrix is not positive semidefinite: {np.array([larger, smaller])}"
         )
-    return _clip(larger, 1.0), _clip(smaller, 1.0)
+    # Clipped into [0, 1]: larger >= tr/2 > 0 and smaller <= tr/2 < 1 already.
+    return min(larger, 1.0), max(smaller, 0.0)
 
 
 def density_eigenvalues(rho: np.ndarray) -> np.ndarray:
@@ -149,7 +149,10 @@ def _binary_entropy(p):
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy -sum(lambda log2 lambda) of a 2x2 density matrix, in bits."""
     larger, smaller = _eigenvalue_pair(rho)
-    return float(-(_xlog2x(larger) + _xlog2x(smaller)) + 0.0)  # np.sum's order
+    # _xlog2x of both floats, inline; the sum in np.sum's order
+    a = larger * float(np.log2(larger)) if larger > 0.0 else 0.0
+    b = smaller * float(np.log2(smaller)) if smaller > 0.0 else 0.0
+    return -(a + b) + 0.0
 
 
 def rest_frame_entropy(eta, helicity_class: HelicityClass):
@@ -160,7 +163,11 @@ def rest_frame_entropy(eta, helicity_class: HelicityClass):
     unequal-helicity family is a product state, entropy 0 for every eta.
     Non-finite ``eta`` raises ValueError.
     """
-    eta = _checked(eta, _ETA)
+    return _rest_frame_entropy(_checked(eta, _ETA), helicity_class)
+
+
+def _rest_frame_entropy(eta, helicity_class: HelicityClass):
+    """Unchecked :func:`rest_frame_entropy` of a float or float64-array eta."""
     if helicity_class is HelicityClass.UNEQUAL:
         return _scalar_or_array(np.zeros_like(eta))
     c = _apply(np.cos, eta)
@@ -187,7 +194,11 @@ def boosted_entropy_closed_form(eta, delta, helicity_class: HelicityClass):
     delta -> 0.  Accepts scalars, lists or broadcastable arrays; non-finite
     ``eta`` or ``delta`` raises ValueError.
     """
-    eta, delta = _checked(eta, _ETA), _checked(delta, _DELTA)
+    return _boosted_entropy(_checked(eta, _ETA), _checked(delta, _DELTA), helicity_class)
+
+
+def _boosted_entropy(eta, delta, helicity_class: HelicityClass):
+    """Unchecked :func:`boosted_entropy_closed_form` of float or float64-array inputs."""
     _, gap = _xi_factor(eta, delta, helicity_class)
     h = -(_xlog2x(0.5 * (1.0 + gap)) + _xlog2x(0.5 * (1.0 - gap)))
     return _scalar_or_array(h + 0.0)
@@ -239,8 +250,8 @@ def entanglement_difference_bound(eta, delta, helicity_class: HelicityClass):
     ValueError.
     """
     eta, delta = _checked(eta, _ETA), _checked(delta, _DELTA)
-    rest = rest_frame_entropy(eta, helicity_class)
-    boosted = boosted_entropy_closed_form(eta, delta, helicity_class)
+    rest = _rest_frame_entropy(eta, helicity_class)
+    boosted = _boosted_entropy(eta, delta, helicity_class)
     if helicity_class is HelicityClass.UNEQUAL:
         difference = boosted - rest
     else:

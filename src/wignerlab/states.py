@@ -21,11 +21,21 @@ read-only complex128 copy of its amplitudes, so the caller's array stays
 its own.  Scalar inputs (eta, delta) accept floats, ints, bools, real numpy
 scalars and 0-d arrays, tested in their own dtype and evaluated in
 float64; anything else is refused with the range message.
+
+There are two ways to a state.  The public constructor
+``SpinMomentumState(...)`` (and ``state_from_json_dict``) checks
+everything it is given: four finite amplitudes of unit norm, a
+``Frame``, a ``HelicityClass`` or None, and eta and delta None or in
+range.  The library's own steps -- ``prepare_state``, ``boost_state``
+and the two gate maps -- build their results with ``_state``, which
+skips those checks: their amplitudes come from checked inputs by a
+rotation or a signed permutation, so the checks would only repeat
+themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -72,7 +82,8 @@ class SpinMomentumState:
     ``helicity_class``/``eta`` record how the state was prepared and
     ``delta`` the rotation angle applied to it, when known; they are
     None for states that did not come out of :func:`prepare_state` /
-    :func:`boost_state`.
+    :func:`boost_state`.  ``eta`` and ``delta`` follow the rules of
+    those two functions and are stored as floats.
     """
 
     amplitudes: np.ndarray
@@ -93,6 +104,14 @@ class SpinMomentumState:
         norm_sq = m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3
         if not abs(norm_sq - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"state must be normalized, got |amplitudes|^2 = {norm_sq}")
+        if not isinstance(self.frame, Frame):
+            raise ValueError(f"frame must be a Frame, got {self.frame!r}")
+        if self.helicity_class is not None and not isinstance(self.helicity_class, HelicityClass):
+            raise ValueError(f"unknown helicity class: {self.helicity_class!r}")
+        for name, rule in (("eta", _ETA), ("delta", _DELTA)):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _checked_scalar(value, rule))
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
@@ -105,6 +124,21 @@ class SpinMomentumState:
             "frame": self.frame.value,
             "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
         }
+
+
+def _state(amps, frame, helicity_class, eta, delta=None) -> SpinMomentumState:
+    """A state from amplitudes the library has just computed from checked inputs.
+
+    It holds the same read-only complex128 array as the public constructor
+    would, but skips the dataclass ``__init__`` and every check.
+    """
+    amplitudes = np.fromiter(amps, complex, 4)
+    amplitudes.setflags(write=False)
+    state = object.__new__(SpinMomentumState)
+    state.__dict__.update(
+        amplitudes=amplitudes, frame=frame, helicity_class=helicity_class, eta=eta, delta=delta
+    )
+    return state
 
 
 def state_from_json_dict(payload: dict) -> SpinMomentumState:
@@ -144,9 +178,7 @@ def prepare_state(helicity_class: HelicityClass, eta: float) -> SpinMomentumStat
         amps = [c, 0.0, s, 0.0]
     else:
         raise ValueError(f"unknown helicity class: {helicity_class!r}")
-    return SpinMomentumState(
-        amplitudes=amps, frame=Frame.REST, helicity_class=helicity_class, eta=eta
-    )
+    return _state(amps, Frame.REST, helicity_class, eta)
 
 
 def wigner_rotation_matrix(delta: float, sign: int) -> np.ndarray:
@@ -174,12 +206,12 @@ def boost_state(state: SpinMomentumState, delta: float) -> SpinMomentumState:
         raise ValueError("state is already boosted; only a single boost is modeled")
     delta, c, s = _half_angle(delta)
     a0, a1, a2, a3 = state.amplitudes.tolist()
-    return SpinMomentumState(
-        amplitudes=[c * a0 + s * a1, -s * a0 + c * a1, c * a2 - s * a3, s * a2 + c * a3],
-        frame=Frame.BOOSTED,
-        helicity_class=state.helicity_class,
-        eta=state.eta,
-        delta=delta,
+    return _state(
+        [c * a0 + s * a1, -s * a0 + c * a1, c * a2 - s * a3, s * a2 + c * a3],
+        Frame.BOOSTED,
+        state.helicity_class,
+        state.eta,
+        delta,
     )
 
 
@@ -202,10 +234,12 @@ def local_unitary_psi_to_psitilde(state: SpinMomentumState) -> SpinMomentumState
     (a0, a1, a2, a3) -> (-a1, a0, a3, -a2).
     """
     a0, a1, a2, a3 = state.amplitudes.tolist()
-    return replace(
-        state,
-        amplitudes=[-a1, a0, a3, -a2],
-        helicity_class=_SWAP_EQUAL.get(state.helicity_class),
+    return _state(
+        [-a1, a0, a3, -a2],
+        state.frame,
+        _SWAP_EQUAL.get(state.helicity_class),
+        state.eta,
+        state.delta,
     )
 
 
@@ -226,4 +260,4 @@ def controlled_u_psi_to_xi(state: SpinMomentumState) -> SpinMomentumState:
         if state.helicity_class is HelicityClass.EQUAL_PLUS
         else None
     )
-    return replace(state, amplitudes=[a0, a1, a3, -a2], helicity_class=new_class)
+    return _state([a0, a1, a3, -a2], state.frame, new_class, state.eta, state.delta)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import wignerlab.sweep as sweep_module
 from wignerlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, _write_table, main
-from wignerlab.states import HelicityClass
+from wignerlab.states import HelicityClass, state_from_json_dict
 from wignerlab.sweep import (
     _CSV_CHUNK_ROWS,
     FIGURE_IDS,
@@ -151,6 +151,24 @@ class TestBoost:
         )
         assert code == EXIT_OK
         assert json.loads(out_path.read_text()) == json.loads(out)
+
+    @pytest.mark.parametrize("cls", ["psi", "psitilde", "xi"])
+    @pytest.mark.parametrize(
+        "angle",
+        [("--delta", "1.1"), ("--u", "0.95", "--v", "0.9", "--phi", "2.0")],
+        ids=["delta", "geometry"],
+    )
+    def test_out_file_round_trips_as_a_state(self, capsys, tmp_path, cls, angle):
+        """The state the --out JSON holds reads back through state_from_json_dict."""
+        out_path = tmp_path / "state.json"
+        code, _, _ = _run(
+            capsys, "boost", "--class", cls, "--eta", "0.6", *angle, "--out", str(out_path)
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out_path.read_text())["state"]
+        state = state_from_json_dict(payload)
+        assert state.helicity_class is HelicityClass(cls)
+        assert state.to_json_dict() == payload
 
 
 class TestSweepCommand:

@@ -157,6 +157,39 @@ class TestDensityEigenvalues:
             call(rho)
         assert str(exc.value) == message
 
+    # At the hermiticity tolerance 1e-12: a diagonal z is tested by
+    # |z - conj(z)| = 2 |Im z|, so Im z = 0.5e-12 passes and the next float
+    # above it fails; an off-diagonal pair by |r01 - conj(r10)|.
+    _HALF_TOL = 0.5e-12
+    _EDGE_CASES = {
+        "diagonal-at-tol": ([[complex(0.5, _HALF_TOL), 0.0], [0.0, 0.5]], [0.5, 0.5]),
+        "diagonal-above-tol": (
+            [[0.5, 0.0], [0.0, complex(0.5, math.nextafter(_HALF_TOL, 1.0))]], None
+        ),
+        "off-diagonal-at-tol": ([[0.5, 0.25 + 1e-12j], [0.25, 0.5]], [0.75, 0.25]),
+        "off-diagonal-above-tol": (
+            [[0.5, complex(0.25, math.nextafter(1e-12, 1.0))], [0.25, 0.5]], None
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "container",
+        [lambda rows: rows, lambda rows: tuple(map(tuple, rows)), np.array],
+        ids=["nested-list", "tuple", "ndarray"],
+    )
+    @pytest.mark.parametrize("case", list(_EDGE_CASES))
+    def test_hermiticity_tolerance_edge(self, case, container):
+        rows, expected = self._EDGE_CASES[case]
+        rho = container(rows)
+        if expected is None:
+            for call in (ent.density_eigenvalues, ent.von_neumann_entropy):
+                with pytest.raises(ValueError) as exc:
+                    call(rho)
+                assert str(exc.value) == "density matrix must be finite and Hermitian"
+            return
+        assert ent.density_eigenvalues(rho).tolist() == expected
+        assert ent.von_neumann_entropy(rho) == ent.von_neumann_entropy(np.diag(expected))
+
 
 class TestBinaryEntropy:
     def test_edges_and_midpoint(self):
@@ -361,6 +394,31 @@ class TestDifferenceBound:
         for cls in (HelicityClass.EQUAL_PLUS, HelicityClass.UNEQUAL):
             diff, bound = ent.entanglement_difference_bound(eta, delta, cls)
             assert float((bound - diff).max()) <= 1e-12
+
+    def test_checks_each_argument_once(self, monkeypatch):
+        """eta and delta are checked once each, not again by the two entropies."""
+        calls, checked = [], ent._checked
+
+        def counted(x, rule):
+            calls.append(rule[1])
+            return checked(x, rule)
+
+        monkeypatch.setattr(ent, "_checked", counted)
+        for cls in HelicityClass:
+            calls.clear()
+            ent.entanglement_difference_bound(0.6, 1.1, cls)
+            assert calls == ["eta must be finite", "delta must be finite"]
+
+    @pytest.mark.parametrize("cls", list(HelicityClass))
+    def test_difference_is_the_public_entropies(self, cls):
+        eta = np.linspace(0.0, 2 * math.pi, 37)[:, None]
+        delta = np.linspace(0.0, math.pi, 29)[None, :]
+        for e, d in ((0.6, 1.1), (eta, delta)):
+            diff, _ = ent.entanglement_difference_bound(e, d, cls)
+            rest = ent.rest_frame_entropy(e, cls)
+            boosted = ent.boosted_entropy_closed_form(e, d, cls)
+            expected = boosted - rest if cls is HelicityClass.UNEQUAL else rest - boosted
+            assert np.asarray(diff).tobytes() == np.asarray(expected).tobytes()
 
     def test_boost_never_raises_equal_helicity_entanglement(self):
         eta = np.linspace(0.0, 2 * math.pi, 100)[:, None]

@@ -1,5 +1,7 @@
 """Tests for state preparation, the rotation matrices, boosting, and the maps."""
 
+import dataclasses
+import json
 import math
 import re
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_scalar_calls import _etas, _phis
 
 import wignerlab.states as st_mod
 from wignerlab.states import (
@@ -397,5 +400,69 @@ class TestStateType:
         s = prepare_state(HelicityClass.EQUAL_PLUS, 0.0)
         assert s.to_json_dict()["delta"] is None
 
+    def test_rejects_nan_eta_and_out_of_range_delta(self):
+        """Metadata that would serialize as non-JSON NaN or break the states' rule."""
+        with pytest.raises(ValueError, match=r"^eta must lie in \[0, 2\*pi\), got nan$"):
+            SpinMomentumState([1, 0, 0, 0], eta=float("nan"), delta=9.0)
+        with pytest.raises(ValueError, match=r"^delta must lie in \[0, pi\], got 9.0$"):
+            SpinMomentumState([1, 0, 0, 0], eta=0.5, delta=9.0)
+        payload = prepare_state(HelicityClass.EQUAL_PLUS, 0.4).to_json_dict()
+        payload["eta"] = 2 * math.pi
+        with pytest.raises(ValueError, match=r"^eta must lie in \[0, 2\*pi\)"):
+            state_from_json_dict(payload)
+
+    def test_rejects_a_frame_that_is_not_a_frame(self):
+        with pytest.raises(ValueError, match="^frame must be a Frame, got 'rest'$"):
+            SpinMomentumState([1, 0, 0, 0], frame="rest")
+
+    def test_rejects_a_class_that_is_not_a_helicity_class(self):
+        with pytest.raises(ValueError, match="^unknown helicity class: 'psi'$"):
+            SpinMomentumState([1, 0, 0, 0], helicity_class="psi")
+
+    @pytest.mark.parametrize("eta, delta", [(np.float32(0.5), 1), (np.array(2), True)])
+    def test_eta_and_delta_are_stored_as_floats(self, eta, delta):
+        s = SpinMomentumState([1, 0, 0, 0], eta=eta, delta=delta)
+        assert type(s.eta) is float and s.eta == float(eta)
+        assert type(s.delta) is float and s.delta == float(delta)
+        json.dumps(s.to_json_dict(), allow_nan=False)
+
     def test_amplitude_order_documented(self):
         assert st_mod.AMPLITUDE_ORDER == ("p+ up", "p+ down", "p- up", "p- down")
+
+
+# Library-built states skip the constructor's checks; each must still be the
+# state the public constructor would build.  Angles from the regimes of
+# test_scalar_calls: eta near 0, pi/4 and pi/2, and delta, like phi, in
+# [0, pi] near 0, pi/2 and pi.
+
+
+def _assert_like_constructed(s: SpinMomentumState):
+    amps = s.amplitudes
+    assert amps.dtype == np.complex128 and amps.shape == (4,)
+    assert not amps.flags.writeable
+    built = SpinMomentumState(s.amplitudes, s.frame, s.helicity_class, s.eta, s.delta)
+    assert amps.tobytes() == built.amplitudes.tobytes()
+    assert (built.frame, built.helicity_class, built.eta, built.delta) == (
+        s.frame, s.helicity_class, s.eta, s.delta
+    )
+    assert abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) <= st_mod._NORM_TOL
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.frame = Frame.REST
+    with pytest.raises(ValueError, match="^state must be normalized"):
+        dataclasses.replace(s, amplitudes=2 * amps)
+    with pytest.raises(ValueError, match="^delta must lie in"):
+        dataclasses.replace(s, delta=-1.0)
+
+
+@given(st.sampled_from(list(HelicityClass)), _etas, _phis)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_library_built_states_equal_constructed_ones(cls, eta, delta):
+    rest = prepare_state(cls, abs(eta))
+    boosted = boost_state(rest, delta)
+    for s in (
+        rest,
+        boosted,
+        local_unitary_psi_to_psitilde(boosted),
+        controlled_u_psi_to_xi(boosted),
+    ):
+        _assert_like_constructed(s)
