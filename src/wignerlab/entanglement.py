@@ -132,27 +132,23 @@ def _xlog2x(x):
     return out
 
 
+def _entropy_bits(a, b):
+    """-(a log2 a + b log2 b) of two floats or float64 arrays in [0, 1]."""
+    return _scalar_or_array(-(_xlog2x(a) + _xlog2x(b)) + 0.0)  # + 0.0 normalizes -0.0
+
+
 def binary_entropy(p):
     """h(p) = -p log2 p - (1-p) log2 (1-p) in bits, with 0 log 0 := 0.
 
     ``p`` is clipped into [0, 1]; non-finite ``p`` raises ValueError.
     """
-    return _binary_entropy(_clip(_checked(p, _P), 1.0))
-
-
-def _binary_entropy(p):
-    """Unchecked h(p) of a float or float64-array p in [0, 1]; callers validate ``p`` first."""
-    h = -(_xlog2x(p) + _xlog2x(1.0 - p))
-    return _scalar_or_array(h + 0.0)  # + 0.0 normalizes -0.0
+    p = _clip(_checked(p, _P), 1.0)
+    return _entropy_bits(p, 1.0 - p)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy -sum(lambda log2 lambda) of a 2x2 density matrix, in bits."""
-    larger, smaller = _eigenvalue_pair(rho)
-    # _xlog2x of both floats, inline; the sum in np.sum's order
-    a = larger * float(np.log2(larger)) if larger > 0.0 else 0.0
-    b = smaller * float(np.log2(smaller)) if smaller > 0.0 else 0.0
-    return -(a + b) + 0.0
+    return _entropy_bits(*_eigenvalue_pair(rho))
 
 
 def rest_frame_entropy(eta, helicity_class: HelicityClass):
@@ -171,7 +167,8 @@ def _rest_frame_entropy(eta, helicity_class: HelicityClass):
     if helicity_class is HelicityClass.UNEQUAL:
         return _scalar_or_array(np.zeros_like(eta))
     c = _apply(np.cos, eta)
-    return _binary_entropy(c * c)  # cos^2 eta lies in [0, 1]
+    c2 = c * c  # cos^2 eta lies in [0, 1]
+    return _entropy_bits(c2, 1.0 - c2)
 
 
 def _xi_factor(eta, delta, helicity_class: HelicityClass):
@@ -200,8 +197,7 @@ def boosted_entropy_closed_form(eta, delta, helicity_class: HelicityClass):
 def _boosted_entropy(eta, delta, helicity_class: HelicityClass):
     """Unchecked :func:`boosted_entropy_closed_form` of float or float64-array inputs."""
     _, gap = _xi_factor(eta, delta, helicity_class)
-    h = -(_xlog2x(0.5 * (1.0 + gap)) + _xlog2x(0.5 * (1.0 - gap)))
-    return _scalar_or_array(h + 0.0)
+    return _entropy_bits(0.5 * (1.0 + gap), 0.5 * (1.0 - gap))
 
 
 def _slope(delta, s2, gap):

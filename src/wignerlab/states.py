@@ -75,7 +75,7 @@ class Frame(Enum):
     BOOSTED = "boosted"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinMomentumState:
     """Unit-norm 4-amplitude state with frame and preparation metadata.
 
@@ -83,7 +83,8 @@ class SpinMomentumState:
     ``delta`` the rotation angle applied to it, when known; they are
     None for states that did not come out of :func:`prepare_state` /
     :func:`boost_state`.  ``eta`` and ``delta`` follow the rules of
-    those two functions and are stored as floats.
+    those two functions and are stored as floats.  ``==`` and ``hash`` are
+    identity: the amplitudes are an array, which has no truth value.
     """
 
     amplitudes: np.ndarray

@@ -363,9 +363,9 @@ class SweepRequest:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepSeries:
-    """Ordered (phi, delta, entropy) samples plus the request that made them."""
+    """Ordered (phi, delta, entropy) samples and their request; ``==`` is identity."""
 
     request: SweepRequest
     phi: np.ndarray
@@ -395,11 +395,12 @@ class SweepSeries:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Generic figure table: named columns, float rows, metadata.
 
-    ``columns`` is kept as the tuple of names that was checked.
+    ``columns`` is kept as the tuple of names that was checked.  ``==``
+    and ``hash`` are identity: ``rows`` is an array.
     """
 
     columns: tuple

@@ -11,10 +11,12 @@ import subprocess
 import sys
 
 import numpy as np
+from test_cli import _assert_contract
 
 import wignerlab.entanglement as ent
 import wignerlab.kinematics as kin
 import wignerlab.states as st
+from wignerlab import __version__
 from wignerlab.states import HelicityClass
 from wignerlab.sweep import ExtremumKind, emit_figure, find_local_extrema
 
@@ -320,13 +322,22 @@ def test_11_figure_reproduction():
 
 
 def test_12_cli_determinism(tmp_path):
-    """Repeated sweep/figure runs are byte-identical; verify --grid 50 exits 0."""
-    def run(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "wignerlab.cli", *argv],
+    """Repeated sweep/figure runs are byte-identical; verify --grid 50 exits 0.
+
+    The one place the CLI runs as ``python -W error -m wignerlab.cli``; every
+    call keeps the CLI contract of ``test_cli``.
+    """
+    def run(*argv, expected=(0,)):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "wignerlab.cli", *argv],
             capture_output=True, text=True,
         )
+        _assert_contract(list(argv), proc.returncode, proc.stdout, proc.stderr, expected)
+        return proc
 
+    assert run("--version").stdout == f"wignerlab {__version__}\n"
+    angle = run("angle", "--u", "0.5", "--v", "0.5", "--phi", "0.7", "--method", "cos")
+    assert "delta =" in angle.stdout
     sweep_args = ("sweep", "--u", "0.95", "--v", "0.95", "--eta", "0.6",
                   "--class", "psi", "--samples", "501")
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -340,7 +351,7 @@ def test_12_cli_determinism(tmp_path):
     figure_identical = fa.read_bytes() == fb.read_bytes()
     json.loads(fa.read_text())  # valid JSON
 
-    verify = run("verify", "--grid", "50")
+    verify = run("verify", "--grid", "50", expected=(0, 2))  # a failing verify is reported below
     ok = sweep_identical and figure_identical and verify.returncode == 0
     _report(12, "CLI determinism and verify", ok,
             f"verify exit={verify.returncode}")

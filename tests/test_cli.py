@@ -1,15 +1,15 @@
 """Tests for the command-line interface: outputs, exit codes, determinism."""
 
-import contextlib
 import errno
-import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,12 +25,90 @@ from wignerlab.sweep import (
     emit_figure,
     sweep_entanglement,
 )
+from wignerlab.verify import DEFAULT_TOLERANCES
 
 
 def _run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of ``main(argv)``; a SystemExit gives its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _refuse(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _assert_contract(argv, code, stdout, stderr, expected=(EXIT_OK,)):
+    """The CLI contract for one call of ``argv`` that exited with ``code``.
+
+    The exit code is one of ``expected``; stderr holds no traceback, and an
+    error is its one line; stdout holds no negative zero.  After a success
+    the ``--out`` file is strict JSON (``.json``) or ``%.17g`` CSV fields
+    (``.csv``).  No temp file is left beside ``--out`` or in the working
+    directory.
+    """
+    assert code in expected, stderr
+    assert "Traceback" not in stderr
+    lines = stderr.splitlines()
+    if code == EXIT_USAGE:
+        assert len(lines) == 1 and lines[0].startswith("wignerlab: error: ")
+    else:
+        assert lines == []
+    assert not re.search(r"-0 |=-0\.", stdout)
+    out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    if code == EXIT_OK and out is not None:
+        if out.suffix == ".json":
+            json.loads(out.read_text(), parse_constant=_refuse)
+        else:
+            _, *rows, last = out.read_text().split("\n")  # the header, rows, "" after the last LF
+            assert rows and last == ""
+            for row in rows:
+                for field in row.split(","):
+                    assert field == format(float(field), ".17g"), f"{out}: {row}"
+    for directory in {Path.cwd(), *([out.absolute().parent] if out else [])}:
+        assert not list(directory.glob(".wignerlab-*.tmp"))
+
+
+_SWEEP = "sweep --u 0.995 --v 0.995 --eta 0.6 --class"
+
+# (exit code, argv) of calls that cover every command, each figure and a sweep of each
+# class in both formats, also at 200,001 rows; --out paths are relative.
+_CONTRACT = [
+    (EXIT_OK, "--version"),
+    (EXIT_USAGE, "figure --id 3b --out /nonexistent-dir/x.csv"),
+    (EXIT_USAGE, "figure --id 3b --out="),
+    (EXIT_USAGE, "sweep --u 0.95 --v 0.95 --eta 0.6 --class psi --out="),
+    (EXIT_USAGE, "boost --class psi --eta 0.6 --delta 0.3 --out="),
+    (EXIT_OK, "angle --u -0 --v 0.5 --phi 1"),
+    (EXIT_OK, "angle --u 0.999999 --v 0.9 --phi 2.5"),
+    (EXIT_OK, "angle --u 0.5 --v 0.5 --phi 180 --degrees"),
+    (EXIT_OK, "boost --class xi --eta 0.7 --u 0.9 --v 0.99 --phi 2.5"),
+    (EXIT_OK, "verify --grid 50"),
+    (EXIT_VERIFY_FAILED, "verify --grid 50" + "".join(f" --tol {n}=0" for n in DEFAULT_TOLERANCES)),
+    *(
+        (EXIT_OK, f"figure --id {figure_id} --format {fmt} --out fig{figure_id}.{fmt}")
+        for figure_id in FIGURE_IDS
+        for fmt in ("csv", "json")
+    ),
+    *(
+        (EXIT_OK, f"{_SWEEP} {c.value} --format {fmt}{samples} --out sweep-{c.value}{name}.{fmt}")
+        for c in HelicityClass
+        for fmt in ("csv", "json")
+        for samples, name in (("", ""), (" --samples 200001", "-200001"))
+    ),
+]
+
+
+@pytest.mark.parametrize("expected, command", _CONTRACT, ids=[command for _, command in _CONTRACT])
+def test_contract(capsys, tmp_path, monkeypatch, expected, command):
+    """Each call, run in an empty working directory, keeps the contract and exits as listed."""
+    monkeypatch.chdir(tmp_path)
+    argv = command.split()
+    _assert_contract(argv, *_run(capsys, *argv), expected=(expected,))
 
 
 class TestAngle:
@@ -212,29 +290,19 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
         assert not target.exists()
 
-    def test_threads_env(self, capsys, tmp_path, monkeypatch):
+    # The variable is ignored, so even a non-integer value changes nothing.
+    @pytest.mark.parametrize("threads", ["4", "many"])
+    def test_threads_env(self, capsys, tmp_path, monkeypatch, threads):
         args = (
             "sweep", "--u", "0.95", "--v", "0.95", "--eta", "0.6", "--class", "psi",
             "--samples", "301",
         )
         base = tmp_path / "base.csv"
         assert _run(capsys, *args, "--out", str(base))[0] == EXIT_OK
-        monkeypatch.setenv("WIGNERLAB_THREADS", "4")
+        monkeypatch.setenv("WIGNERLAB_THREADS", threads)
         threaded = tmp_path / "threaded.csv"
         assert _run(capsys, *args, "--out", str(threaded))[0] == EXIT_OK
         assert base.read_bytes() == threaded.read_bytes()
-
-    def test_invalid_threads_env(self, capsys, monkeypatch, tmp_path):
-        # The variable is ignored, so even a non-integer value changes nothing.
-        args = (
-            "sweep", "--u", "0.5", "--v", "0.5", "--eta", "0.6", "--class", "psi",
-        )
-        base = tmp_path / "base.csv"
-        assert _run(capsys, *args, "--out", str(base))[0] == EXIT_OK
-        monkeypatch.setenv("WIGNERLAB_THREADS", "many")
-        ignored = tmp_path / "ignored.csv"
-        assert _run(capsys, *args, "--out", str(ignored))[0] == EXIT_OK
-        assert base.read_bytes() == ignored.read_bytes()
 
 
 class TestStreamedCsvWrite:
@@ -404,32 +472,15 @@ class TestCliProperty:
     @settings(
         max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
-    def test_exits_zero_or_one_and_never_raises(self, tmp_path, argv):
-        """Under warnings-as-errors every call returns 0 or 1; an error is one stderr line."""
+    def test_exits_zero_or_one_and_never_raises(self, capsys, tmp_path, argv):
+        """Under warnings-as-errors every call keeps the contract and exits 0 or 1."""
         if argv[0] in ("sweep", "figure"):
-            argv = [*argv, "--out", str(tmp_path / "out")]
-        stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = main(argv)
-        lines = stderr.getvalue().splitlines()
-        if code == EXIT_OK:
-            assert lines == []
-        else:
-            assert code == EXIT_USAGE
-            assert len(lines) == 1 and lines[0].startswith("wignerlab: error: ")
-        assert not list(tmp_path.glob(".wignerlab-*.tmp"))
+            name = "out.json" if "json" in argv else "out.csv"
+            argv = [*argv, "--out", str(tmp_path / name)]
+        _assert_contract(argv, *_run(capsys, *argv), expected=(EXIT_OK, EXIT_USAGE))
 
 
 class TestFigureCommand:
-    @pytest.mark.parametrize("figure_id", ["1a", "1b", "1c", "3a", "3b", "3c"])
-    def test_each_figure_writes(self, capsys, tmp_path, figure_id):
-        out = tmp_path / f"{figure_id}.csv"
-        code, _, _ = _run(
-            capsys, "figure", "--id", figure_id, "--out", str(out), "--samples", "41"
-        )
-        assert code == EXIT_OK
-        assert out.exists() and out.read_text().count("\n") > 1
-
     def test_unknown_id_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["figure", "--id", "bogus", "--out", str(tmp_path / "x.csv")])
@@ -492,20 +543,6 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == EXIT_USAGE
-
-    def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "wignerlab.cli", "angle", "--u", "0.5", "--v", "0.5",
-             "--phi", "0.7", "--method", "cos"],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == EXIT_OK
-        assert "delta =" in proc.stdout
-
-    def test_version_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--version"])
-        assert exc.value.code == 0
 
 
 def _child(code: str, **env) -> str:

@@ -1,5 +1,6 @@
-"""The package namespace: one declaration per public name, the README quick start, and
-the rule that non-real numeric input gets the documented ValueError."""
+"""The package namespace: one declaration per public name, the README quick start, the
+identity equality of the types that hold arrays, and the rule that non-real numeric input
+gets the documented ValueError."""
 
 import re
 from pathlib import Path
@@ -113,6 +114,22 @@ _COLUMN = np.zeros(1)  # a valid one-row column of a sweep table
 
 def _request(**field):
     return wl.SweepRequest(**{"u": 0.5, "v": 0.5, "eta": 0.6, "helicity_class": _CLS, **field})
+
+
+# An array has no truth value, so a state or table compares and hashes as its identity.
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: wl.prepare_state(_CLS, 0.6),
+        lambda: wl.sweep_entanglement(_request()),
+        lambda: wl.emit_figure("1a", samples=5),
+    ],
+    ids=["SpinMomentumState", "SweepSeries", "Dataset"],
+)
+def test_array_holders_compare_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b}) == 2
 
 
 # site id -> (call with the bad value in one argument, the documented message prefix)
