@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .kinematics import _MATRIX, _apply, _checked, _clip, _scalar_or_array, _sqrt
-from .states import HelicityClass, SpinMomentumState
+from .states import _EQUAL_PLUS, _UNEQUAL, HelicityClass, SpinMomentumState
 
 __all__ = [
     "binary_entropy",
@@ -142,7 +142,7 @@ def binary_entropy(p):
 
     ``p`` is clipped into [0, 1]; non-finite ``p`` raises ValueError.
     """
-    p = _clip(_checked(p, _P), 1.0)
+    p = _clip(p if isinstance(p, float) and abs(p) < math.inf else _checked(p, _P), 1.0)
     return _entropy_bits(p, 1.0 - p)
 
 
@@ -159,12 +159,14 @@ def rest_frame_entropy(eta, helicity_class: HelicityClass):
     unequal-helicity family is a product state, entropy 0 for every eta.
     Non-finite ``eta`` raises ValueError.
     """
-    return _rest_frame_entropy(_checked(eta, _ETA), helicity_class)
+    if not (isinstance(eta, float) and abs(eta) < math.inf):
+        eta = _checked(eta, _ETA)
+    return _rest_frame_entropy(eta, helicity_class)
 
 
 def _rest_frame_entropy(eta, helicity_class: HelicityClass):
     """Unchecked :func:`rest_frame_entropy` of a float or float64-array eta."""
-    if helicity_class is HelicityClass.UNEQUAL:
+    if helicity_class is _UNEQUAL:
         return _scalar_or_array(np.zeros_like(eta))
     c = _apply(np.cos, eta)
     c2 = c * c  # cos^2 eta lies in [0, 1]
@@ -176,7 +178,7 @@ def _xi_factor(eta, delta, helicity_class: HelicityClass):
 
     The gap is 2p - 1, the spectral gap of the reduced matrix.
     """
-    t = _apply(np.cos if helicity_class is HelicityClass.UNEQUAL else np.sin, delta)
+    t = _apply(np.cos if helicity_class is _UNEQUAL else np.sin, delta)
     s, c = _apply(np.sin, 2.0 * eta), _apply(np.cos, 2.0 * eta)
     s2 = s * s
     gap = _sqrt(c * c + t * t * s2)
@@ -191,7 +193,10 @@ def boosted_entropy_closed_form(eta, delta, helicity_class: HelicityClass):
     delta -> 0.  Accepts scalars, lists or broadcastable arrays; non-finite
     ``eta`` or ``delta`` raises ValueError.
     """
-    return _boosted_entropy(_checked(eta, _ETA), _checked(delta, _DELTA), helicity_class)
+    if not (isinstance(eta, float) and isinstance(delta, float)
+            and abs(eta) < math.inf and abs(delta) < math.inf):
+        eta, delta = _checked(eta, _ETA), _checked(delta, _DELTA)
+    return _boosted_entropy(eta, delta, helicity_class)
 
 
 def _boosted_entropy(eta, delta, helicity_class: HelicityClass):
@@ -220,8 +225,10 @@ def boosted_entropy_derivative(eta, delta):
     eta); both limits equal 0 and are returned as such.  Non-finite
     ``eta`` or ``delta`` raises ValueError.
     """
-    eta, delta = _checked(eta, _ETA), _checked(delta, _DELTA)
-    s2, gap = _xi_factor(eta, delta, HelicityClass.EQUAL_PLUS)
+    if not (isinstance(eta, float) and isinstance(delta, float)
+            and abs(eta) < math.inf and abs(delta) < math.inf):
+        eta, delta = _checked(eta, _ETA), _checked(delta, _DELTA)
+    s2, gap = _xi_factor(eta, delta, _EQUAL_PLUS)
     if isinstance(gap, float):
         return float(_slope(delta, s2, gap) + 0.0) if 0.0 < gap < 1.0 else 0.0
     singular = (gap <= 0.0) | (gap >= 1.0)
@@ -248,7 +255,7 @@ def entanglement_difference_bound(eta, delta, helicity_class: HelicityClass):
     eta, delta = _checked(eta, _ETA), _checked(delta, _DELTA)
     rest = _rest_frame_entropy(eta, helicity_class)
     boosted = _boosted_entropy(eta, delta, helicity_class)
-    if helicity_class is HelicityClass.UNEQUAL:
+    if helicity_class is _UNEQUAL:
         difference = boosted - rest
     else:
         difference = rest - boosted

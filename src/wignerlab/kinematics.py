@@ -19,22 +19,26 @@ All angle functions accept scalars or numpy arrays (broadcast like
 ufuncs) and are pure, so they are safe to call concurrently.  The matrix
 route works on stacks too: velocities are (..., 3) arrays, matrices
 (..., 4, 4), and a scalar input is the stack with an empty leading shape.
-Every numeric input, velocities included, passes ``_checked`` or
-``_checked_scalar``: a float (``np.float64`` included) is kept, anything
+Every numeric input, velocities included, meets the rule of ``_checked``
+or ``_checked_scalar``: a float (``np.float64`` included) is kept, anything
 else is tested in its own dtype and computed in float64, and non-real,
-NaN, infinite or out-of-range values raise ValueError.  Huge finite
-matrix entries are valid: ``rotation_axis`` still returns the unit axis,
-and ``lorentz_defect`` inf where the residual overflows.  A float
-argument skips numpy's 0-d array machinery but evaluates the same ufunc
-expressions, so it gives the array bits.  A ufunc result on a float
-becomes a Python float at once (``_apply``), because arithmetic on an
-``np.float64`` costs two to three times as much; squares are products
-``x * x``, which round as ``np.square`` does; square roots go through
-``_sqrt``, where ``math.sqrt`` and ``np.sqrt`` are both correctly
-rounded.  Every other kernel stays numpy's: ``math.atan2``, ``asin``,
-``acos``, ``log2`` and ``atanh`` can differ from it in the last bit.
-``wigner_angle_matrix_form`` takes the same arithmetic with float and
-array speeds, so its bits agree too.
+NaN, infinite or out-of-range values raise ValueError.  A scalar entry
+point first tests, in one expression, that every argument is a float
+that passes its rule's test, and calls the checkers only when that fails,
+so anything else meets their conversions, messages and order.  Each
+checker call costs two Python frames, a large share of a scalar call.
+Huge finite matrix entries are valid: ``rotation_axis`` still returns
+the unit axis, and ``lorentz_defect`` inf where the residual overflows.
+A float argument skips numpy's 0-d array machinery but evaluates the
+same ufunc expressions, so it gives the array bits.  A ufunc result on
+a float becomes a Python float at once (``_apply``), because arithmetic
+on an ``np.float64`` costs two to three times as much; squares are
+products ``x * x``, which round as ``np.square`` does; square roots go
+through ``_sqrt``, where ``math.sqrt`` and ``np.sqrt`` are both
+correctly rounded.  Every other kernel stays numpy's: ``math.atan2``,
+``asin``, ``acos``, ``log2`` and ``atanh`` can differ from it in the
+last bit.  ``wigner_angle_matrix_form`` takes the same arithmetic with
+float and array speeds, so its bits agree too.
 """
 
 from __future__ import annotations
@@ -150,7 +154,8 @@ def _gamma(u):
 
 def lorentz_gamma(u):
     """Lorentz factor gamma = 1/sqrt(1 - u^2) for a speed u in units of c."""
-    return _scalar_or_array(_gamma(_checked(u, _SPEED)))
+    u = u if isinstance(u, float) and 0.0 <= u < 1.0 else _checked(u, _SPEED)
+    return _scalar_or_array(_gamma(u))
 
 
 def speed_factor_d(u, v):
@@ -163,7 +168,9 @@ def speed_factor_d(u, v):
     (below ~1e-154) that num/den overflows.  gamma - 1 is taken as
     u^2 gamma^2/(gamma + 1), which does not cancel at small speeds.
     """
-    return _speed_factor(_checked(u, _U), _checked(v, _V))
+    if not (isinstance(u, float) and isinstance(v, float) and 0.0 <= u < 1.0 and 0.0 <= v < 1.0):
+        u, v = _checked(u, _U), _checked(v, _V)
+    return _speed_factor(u, v)
 
 
 def _speed_factor(u, v):
@@ -224,7 +231,8 @@ def argmax_boost_angle(u, v):
     D -> inf).  For u = 0 or v = 0 the rotation vanishes for every phi,
     so no maximum exists; that degenerate case raises ValueError.
     """
-    u, v = _checked(u, _U), _checked(v, _V)
+    if not (isinstance(u, float) and isinstance(v, float) and 0.0 <= u < 1.0 and 0.0 <= v < 1.0):
+        u, v = _checked(u, _U), _checked(v, _V)
     d = _speed_factor(u, v)
     if isinstance(d, float):
         degenerate = u == 0.0 or v == 0.0
@@ -244,8 +252,10 @@ def ultra_relativistic_condition(u, v, phi):
     sin(phi) - cos(phi) <= -D (phi < pi/4), so it must not be applied
     blindly; the unsquared form is used here.
     """
-    phi = _checked(phi, _PHI)
-    cond = _apply(np.sin, phi) - _apply(np.cos, phi) >= speed_factor_d(u, v)
+    if not (isinstance(u, float) and isinstance(v, float) and isinstance(phi, float)
+            and 0.0 <= u < 1.0 and 0.0 <= v < 1.0 and 0.0 <= phi <= math.pi):
+        phi, u, v = _checked(phi, _PHI), _checked(u, _U), _checked(v, _V)
+    cond = _apply(np.sin, phi) - _apply(np.cos, phi) >= _speed_factor(u, v)
     return cond if isinstance(cond, np.ndarray) else bool(cond)
 
 
@@ -256,16 +266,18 @@ def equal_speed_ultra_threshold(phi: float) -> float:
     only for phi in (pi/2, pi), where sin(phi) - cos(phi) > 1; outside
     that range (e.g. perpendicular boosts, phi = pi/2) the threshold is
     reachable only in the light-speed limit and ValueError is raised.
+    So it is at the float value of pi (exactly collinear) and wherever the
+    solution rounds to 1, for phi within about 1e-8 of pi/2 or pi.
     ``phi`` is scalar-only (``_checked_scalar``).
     """
     phi = _checked_scalar(phi, _PHI)
     target = math.sin(phi) - math.cos(phi)
-    if target <= 1.0:
-        raise ValueError(
-            "delta >= pi/2 is not reachable sub-luminally for phi <= pi/2"
-        )
-    gamma = (target + 1.0) / (target - 1.0)
-    return math.sqrt(1.0 - 1.0 / (gamma * gamma))
+    if target > 1.0 and phi != math.pi:
+        gamma = (target + 1.0) / (target - 1.0)
+        u = math.sqrt(1.0 - 1.0 / (gamma * gamma))
+        if u < 1.0:
+            return u
+    raise ValueError("delta >= pi/2 is not reachable sub-luminally for phi <= pi/2")
 
 
 def ultra_phi_interval(u: float, v: float) -> tuple[float, float] | None:
@@ -353,18 +365,17 @@ def _spinor_boost_along(speed, direction):
 
 
 def _spinor_product(first, second):
-    """(a0, p, q) of the SL(2,C) product A(second) A(first) = a0 I + (p + i q).sigma.
+    """(a0, q) of the SL(2,C) product A(second) A(first) = a0 I + (p + i q).sigma.
 
     ``first`` and ``second`` are (c, s) pairs of boosts A = c I + s.sigma
     with c = cosh(rho/2) = sqrt((gamma+1)/2) and s = sinh(rho/2) n =
     gamma beta / sqrt(2 (gamma+1)): entries of size sqrt(gamma), and no
     cancellation at small speeds.  The product has a0 = c1 c2 + s1.s2,
     p = c1 s2 + c2 s1 and q = s2 x s1; p.q = 0 and
-    a0^2 + |q|^2 - |p|^2 = det = 1.
+    a0^2 + |q|^2 - |p|^2 = det = 1.  Only ``compose_boosts`` needs p, and forms it.
     """
     (c1, s1), (c2, s2) = first, second
-    p = (c1 * s2[0] + c2 * s1[0], c1 * s2[1] + c2 * s1[1], c1 * s2[2] + c2 * s1[2])
-    return c1 * c2 + _dot(s1, s2), p, _cross(s2, s1)
+    return c1 * c2 + _dot(s1, s2), _cross(s2, s1)
 
 
 def _rotation_angle(a0, qq):
@@ -412,7 +423,9 @@ def compose_boosts(first, second) -> BoostComposition:
     inputs give the identity rotation and angle 0.  Exchanging the
     arguments keeps the angle and reverses the rotation axis.
     """
-    a0, p, q = _spinor_product(_spinor_boost(first), _spinor_boost(second))
+    (c1, s1), (c2, s2) = _spinor_boost(first), _spinor_boost(second)
+    a0, q = _spinor_product((c1, s1), (c2, s2))
+    p = (c1 * s2[0] + c2 * s1[0], c1 * s2[1] + c2 * s1[1], c1 * s2[2] + c2 * s1[2])
     qq = _dot(q, q)
     n = _sqrt(a0 * a0 + qq)
     m = [(a0 * pk + ck) / n for pk, ck in zip(p, _cross(p, q))]
@@ -461,7 +474,9 @@ def _standard_geometry(u, v, phi):
     so does np.float32(pi), which passes the range check but lies above
     pi in float64; elsewhere on [0, pi] sin phi lies in [0, 1] unclipped.
     """
-    u, v, phi = _checked(u, _U), _checked(v, _V), _checked(phi, _PHI)
+    if not (isinstance(u, float) and isinstance(v, float) and isinstance(phi, float)
+            and 0.0 <= u < 1.0 and 0.0 <= v < 1.0 and 0.0 <= phi <= math.pi):
+        u, v, phi = _checked(u, _U), _checked(v, _V), _checked(phi, _PHI)
     if isinstance(phi, float):
         sin_phi = 0.0 if phi == 0.0 or phi == math.pi else _apply(np.sin, phi)
     else:
@@ -502,7 +517,7 @@ def wigner_angle_matrix_form(u, v, phi):
     as exactly collinear).
     """
     u, v, direction = _standard_geometry(u, v, phi)
-    a0, _, q = _spinor_product(
+    a0, q = _spinor_product(
         _spinor_boost_along(u, (0.0, 0.0, 1.0)), _spinor_boost_along(v, direction)
     )
     return _rotation_angle(a0, _dot(q, q))

@@ -75,6 +75,12 @@ class Frame(Enum):
     BOOSTED = "boosted"
 
 
+# Bound once: Frame.REST is a descriptor call, about 15 times a module-name read.
+_REST, _BOOSTED = Frame.REST, Frame.BOOSTED
+_EQUAL_PLUS, _EQUAL_MINUS = HelicityClass.EQUAL_PLUS, HelicityClass.EQUAL_MINUS
+_UNEQUAL = HelicityClass.UNEQUAL
+
+
 @dataclass(frozen=True, eq=False)
 class SpinMomentumState:
     """Unit-norm 4-amplitude state with frame and preparation metadata.
@@ -157,7 +163,8 @@ def state_from_json_dict(payload: dict) -> SpinMomentumState:
 
 def _half_angle(delta) -> tuple[float, float, float]:
     """(delta, cos(delta/2), sin(delta/2)) as floats, for a scalar delta in [0, pi]."""
-    delta = _checked_scalar(delta, _DELTA)
+    if type(delta) is not float or not 0.0 <= delta <= np.pi:  # _DELTA's test on a float
+        delta = _checked_scalar(delta, _DELTA)
     return delta, float(np.cos(delta / 2.0)), float(np.sin(delta / 2.0))
 
 
@@ -169,17 +176,19 @@ def prepare_state(helicity_class: HelicityClass, eta: float) -> SpinMomentumStat
     pi/2 (maximally, a Bell state, at odd multiples of pi/4); the
     unequal-helicity family is a product state for every eta.
     """
-    eta = _checked_scalar(eta, _ETA)  # a float32, float16 or bool eta is evaluated in float64
+    if type(eta) is not float or not 0.0 <= eta < 2.0 * np.pi:  # _ETA's test on a float
+        # a float32, float16 or bool eta is evaluated in float64, and stored as a float
+        eta = _checked_scalar(eta, _ETA)
     c, s = float(np.cos(eta)), float(np.sin(eta))
-    if helicity_class is HelicityClass.EQUAL_PLUS:
+    if helicity_class is _EQUAL_PLUS:
         amps = [c, 0.0, 0.0, s]
-    elif helicity_class is HelicityClass.EQUAL_MINUS:
+    elif helicity_class is _EQUAL_MINUS:
         amps = [0.0, c, s, 0.0]
-    elif helicity_class is HelicityClass.UNEQUAL:
+    elif helicity_class is _UNEQUAL:
         amps = [c, 0.0, s, 0.0]
     else:
         raise ValueError(f"unknown helicity class: {helicity_class!r}")
-    return _state(amps, Frame.REST, helicity_class, eta)
+    return _state(amps, _REST, helicity_class, eta)
 
 
 def wigner_rotation_matrix(delta: float, sign: int) -> np.ndarray:
@@ -203,23 +212,20 @@ def boost_state(state: SpinMomentumState, delta: float) -> SpinMomentumState:
     to p-; the momentum labels become the transformed p'+-.  Only a
     single boost is modeled, so the input must be a rest-frame state.
     """
-    if state.frame is not Frame.REST:
+    if state.frame is not _REST:
         raise ValueError("state is already boosted; only a single boost is modeled")
     delta, c, s = _half_angle(delta)
     a0, a1, a2, a3 = state.amplitudes.tolist()
     return _state(
         [c * a0 + s * a1, -s * a0 + c * a1, c * a2 - s * a3, s * a2 + c * a3],
-        Frame.BOOSTED,
+        _BOOSTED,
         state.helicity_class,
         state.eta,
         delta,
     )
 
 
-_SWAP_EQUAL = {
-    HelicityClass.EQUAL_PLUS: HelicityClass.EQUAL_MINUS,
-    HelicityClass.EQUAL_MINUS: HelicityClass.EQUAL_PLUS,
-}
+_SWAP_EQUAL = {_EQUAL_PLUS: _EQUAL_MINUS, _EQUAL_MINUS: _EQUAL_PLUS}
 
 
 def local_unitary_psi_to_psitilde(state: SpinMomentumState) -> SpinMomentumState:
@@ -256,9 +262,5 @@ def controlled_u_psi_to_xi(state: SpinMomentumState) -> SpinMomentumState:
     (a0, a1, a2, a3) -> (a0, a1, a3, -a2).
     """
     a0, a1, a2, a3 = state.amplitudes.tolist()
-    new_class = (
-        HelicityClass.UNEQUAL
-        if state.helicity_class is HelicityClass.EQUAL_PLUS
-        else None
-    )
+    new_class = _UNEQUAL if state.helicity_class is _EQUAL_PLUS else None
     return _state([a0, a1, a3, -a2], state.frame, new_class, state.eta, state.delta)

@@ -286,6 +286,21 @@ class TestUltraGeometrySolves:
             with pytest.raises(ValueError):
                 kin.equal_speed_ultra_threshold(phi)
 
+    def test_threshold_is_a_speed_below_one(self):
+        """pi counts as collinear, and a solution that rounds to 1 is refused."""
+        refused = (math.pi, math.nextafter(math.pi, 0.0), math.pi - 1e-8, math.pi / 2 + 1e-9)
+        for phi in refused:
+            with pytest.raises(ValueError, match="not reachable sub-luminally"):
+                kin.equal_speed_ultra_threshold(phi)
+        offsets = (10.0 ** -np.arange(1.0, 17.0)).tolist()
+        for phi in [math.pi / 2 + d for d in offsets] + [math.pi - d for d in offsets]:
+            try:
+                threshold = kin.equal_speed_ultra_threshold(phi)
+            except ValueError as exc:
+                assert "not reachable sub-luminally" in str(exc)
+            else:
+                assert 0.0 < threshold < 1.0, phi
+
     @pytest.mark.parametrize(
         "bad",
         [[2.5], np.array([2.5]), np.array([[2.5]]), 2.5 + 0j, np.complex128(2.5 + 1j), "2.5", None],

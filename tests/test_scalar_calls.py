@@ -15,6 +15,13 @@ Inputs are seeded values plus an edge grid: speeds at and next to 0 and
 1, angles at and next to 0 and pi, and the 0 log 0 and gap = 0 or 1
 corners of the entropies.  A hypothesis property adds random float
 inputs in each regime (``test_random_floats_agree_to_the_bit``).
+
+Each scalar entry point tests all-float arguments in one expression and
+calls the checkers only when it fails: an all-float call makes no checker
+call, a 0-d array call one per argument, and both give the same result
+(``test_all_float_calls_skip_the_checkers``).  The rejection table holds
+the floats just outside each rule, so a fast test that is looser than
+its rule fails there.
 """
 
 import itertools
@@ -27,6 +34,7 @@ from hypothesis import strategies as st
 
 import wignerlab.entanglement as ent
 import wignerlab.kinematics as kin
+import wignerlab.states as st_mod
 from wignerlab.states import HelicityClass, boost_state, prepare_state
 
 _RNG = np.random.default_rng(20261018)
@@ -177,9 +185,13 @@ def test_von_neumann_entropy_sums_like_np_sum():
             assert ent.von_neumann_entropy(rho).hex() == reference.hex()
 
 
-BAD_SPEEDS = (math.nan, math.inf, -math.inf, -0.1, -1e-300, 1.0, 4.0)
-BAD_ANGLES = (math.nan, math.inf, -math.inf, -0.1, math.pi + 1e-15, 4.0)
+BAD_SPEEDS = (math.nan, math.inf, -math.inf, -0.1, -1e-300, -5e-324, 1.0, 4.0)
+BAD_ANGLES = (
+    math.nan, math.inf, -math.inf, -0.1, -5e-324, math.pi + 1e-15, math.nextafter(math.pi, 4.0), 4.0
+)
+BAD_ETAS = (math.nan, math.inf, -math.inf, -0.1, -5e-324, 2.0 * math.pi, 7.0)
 BAD_FINITE = (math.nan, math.inf, -math.inf)
+_REST_STATE = prepare_state(HelicityClass.EQUAL_PLUS, 0.6)
 BAD_CALLS = [
     *(
         (f"{name}-u", lambda x, call=call, n=n: call(*(x, 0.5, 1.0)[:n]),
@@ -196,7 +208,17 @@ BAD_CALLS = [
          "boosting angle must lie in [0, pi]", BAD_ANGLES)
         for name, (call, n) in ROUTES.items() if n == 3
     ),
+    # every argument bad: each route checks u first, the condition phi first
+    *(
+        (f"{name}-all", lambda x, call=call: call(x, x, x),
+         "boosting angle must lie in [0, pi]" if name == "ultra"
+         else "u must satisfy 0 <= u < 1 (units of c)", BAD_FINITE + (4.0,))
+        for name, (call, n) in ROUTES.items() if n == 3
+    ),
     ("gamma", kin.lorentz_gamma, "speed must satisfy 0 <= speed < 1 (units of c)", BAD_SPEEDS),
+    ("prepare", lambda x: prepare_state(HelicityClass.EQUAL_MINUS, x),
+     "eta must lie in [0, 2*pi)", BAD_ETAS),
+    ("boost", lambda x: boost_state(_REST_STATE, x), "delta must lie in [0, pi]", BAD_ANGLES),
     ("closed-eta", lambda x: ent.boosted_entropy_closed_form(x, 1.0, HelicityClass.UNEQUAL),
      "eta must be finite", BAD_FINITE),
     ("closed-delta", lambda x: ent.boosted_entropy_closed_form(0.6, x, HelicityClass.EQUAL_PLUS),
@@ -223,6 +245,90 @@ def test_rejections_read_the_same_for_every_input_type(call, rule, bad):
         with pytest.raises(ValueError) as exc:
             call(np.array([x]))
         assert str(exc.value) == f"{rule}, got {np.array([x])}"
+
+
+# The scalar entry points that test all-float arguments in one expression
+# before they call the checkers, with the edge floats their rules accept.
+_EDGE_SPEEDS = (-0.0, math.nextafter(1.0, 0.0))
+_EDGE_ANGLES = (-0.0, math.pi)
+_EDGE_ETAS = (-0.0, math.nextafter(2.0 * math.pi, 0.0))
+_EDGE_GEOMETRY = (_EDGE_SPEEDS, _EDGE_SPEEDS, _EDGE_ANGLES)
+FAST_CALLS = {
+    "tan": (kin.wigner_angle_tan_form, _EDGE_GEOMETRY),
+    "cos": (kin.wigner_angle_cos_form, _EDGE_GEOMETRY),
+    "matrix": (kin.wigner_angle_matrix_form, _EDGE_GEOMETRY),
+    "vectors": (kin.standard_boost_vectors, _EDGE_GEOMETRY),
+    "ultra": (kin.ultra_relativistic_condition, _EDGE_GEOMETRY),
+    "D": (kin.speed_factor_d, _EDGE_GEOMETRY[:2]),
+    "argmax": (kin.argmax_boost_angle, _EDGE_GEOMETRY[:2]),
+    "gamma": (kin.lorentz_gamma, _EDGE_GEOMETRY[:1]),
+    **{
+        f"closed-{cls.value}": (
+            lambda eta, delta, cls=cls: ent.boosted_entropy_closed_form(eta, delta, cls),
+            (_EDGE_ETAS, _EDGE_ANGLES),
+        )
+        for cls in HelicityClass
+    },
+    "derivative": (ent.boosted_entropy_derivative, (_EDGE_ETAS, _EDGE_ANGLES)),
+    "rest": (lambda eta: ent.rest_frame_entropy(eta, HelicityClass.EQUAL_PLUS), (_EDGE_ETAS,)),
+    "binary": (ent.binary_entropy, ((-0.0, math.nextafter(1.0, 0.0), 1.5),)),
+    "prepare": (lambda eta: prepare_state(HelicityClass.UNEQUAL, eta), (_EDGE_ETAS,)),
+    "boost": (lambda delta: boost_state(_REST_STATE, delta), (_EDGE_ANGLES,)),
+    "rotation-matrix": (lambda delta: st_mod.wigner_rotation_matrix(delta, -1), (_EDGE_ANGLES,)),
+}
+
+
+def _typed_bits(x):
+    """Type name and bits of a result, a state's fields included."""
+    if isinstance(x, st_mod.SpinMomentumState):
+        return tuple(map(_typed_bits, (x.eta, x.delta, x.amplitudes, x.frame, x.helicity_class)))
+    if isinstance(x, tuple):
+        return tuple(map(_typed_bits, x))
+    if isinstance(x, np.ndarray):
+        return str(x.dtype), x.shape, x.tobytes()
+    return type(x).__name__, x.hex() if isinstance(x, float) else x
+
+
+def _counted_checks(monkeypatch):
+    """The messages of the rules checked, in order, once the checkers are wrapped."""
+    calls = []
+
+    def counting(checker):
+        def counted(x, rule):
+            calls.append(rule[1])
+            return checker(x, rule)
+        return counted
+
+    for module, name in (
+        (kin, "_checked"), (kin, "_checked_scalar"), (ent, "_checked"), (st_mod, "_checked_scalar")
+    ):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    return calls
+
+
+@pytest.mark.parametrize("name", list(FAST_CALLS))
+def test_all_float_calls_skip_the_checkers(name, monkeypatch):
+    """All floats make no checker call; 0-d arrays make one per argument, with the same result.
+
+    The 0-d array call goes through the checkers, so the edge floats accepted
+    by the one-expression test (-0.0, the last float below 1 and below 2 pi,
+    and pi) give the bits and the types of the checked path.
+    """
+    call, grids = FAST_CALLS[name]
+    checks = _counted_checks(monkeypatch)
+    for args in itertools.product(*grids):
+        checks.clear()
+        try:
+            fast = _typed_bits(call(*args))
+        except ValueError as exc:  # argmax at a zero speed
+            fast = str(exc)
+        assert checks == [], args
+        try:
+            checked = _typed_bits(call(*map(np.asarray, args)))
+        except ValueError as exc:
+            checked = str(exc)
+        assert len(checks) == len(args), (args, checks)
+        assert fast == checked, args
 
 
 SCALAR_CALLS = {

@@ -426,6 +426,22 @@ class TestStateType:
         assert type(s.delta) is float and s.delta == float(delta)
         json.dumps(s.to_json_dict(), allow_nan=False)
 
+    @pytest.mark.parametrize(
+        "convert",
+        [float, np.float64, int, np.asarray, np.float32, bool],
+        ids=["float", "float64", "int", "0-d array", "float32", "bool"],
+    )
+    def test_library_built_states_store_floats(self, convert):
+        """prepare_state and boost_state store eta and delta as floats, like the constructor."""
+        for x in (0.0, 0.6, 1.0):
+            value = convert(x)
+            for cls in HelicityClass:
+                rest = prepare_state(cls, value)
+                boosted = boost_state(rest, value)
+                assert type(rest.eta) is float and rest.eta == float(value)
+                assert type(boosted.eta) is float and boosted.eta == float(value)
+                assert type(boosted.delta) is float and boosted.delta == float(value)
+
     def test_amplitude_order_documented(self):
         assert st_mod.AMPLITUDE_ORDER == ("p+ up", "p+ down", "p- up", "p- down")
 
