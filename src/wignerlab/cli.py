@@ -17,6 +17,12 @@ matrix product is a stack of 4x4s, and OpenBLAS would otherwise start a
 worker thread at ``import numpy`` that only spins and burns CPU time.
 ``import wignerlab`` loads no numpy, so both ``python -m wignerlab.cli``
 and the ``wignerlab`` script get here first.
+
+:func:`entry_point`, which both of them run, freezes the garbage
+collector's view of everything imported so far (numpy's whole import
+graph), so neither a collection during the command nor the collections
+at interpreter exit walk it again.  :func:`main` and the library leave
+the collector as it is.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import gc
 import json
 import math
 import os
@@ -258,6 +265,7 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
+    gc.freeze()  # the process ends after main: its imports are never garbage
     sys.exit(main())
 
 

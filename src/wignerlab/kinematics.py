@@ -277,7 +277,10 @@ def equal_speed_ultra_threshold(phi: float) -> float:
         u = math.sqrt(1.0 - 1.0 / (gamma * gamma))
         if u < 1.0:
             return u
-    raise ValueError("delta >= pi/2 is not reachable sub-luminally for phi <= pi/2")
+    raise ValueError(
+        f"delta >= pi/2 is not reachable sub-luminally at phi = {phi!r}: the threshold"
+        " speed is below 1 only for phi in (pi/2, pi), not within about 1e-8 of either end"
+    )
 
 
 def ultra_phi_interval(u: float, v: float) -> tuple[float, float] | None:

@@ -330,7 +330,7 @@ def test_12_cli_determinism(tmp_path):
     def run(*argv, expected=(0,)):
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "wignerlab.cli", *argv],
-            capture_output=True, text=True,
+            capture_output=True, text=True, timeout=120,
         )
         _assert_contract(list(argv), proc.returncode, proc.stdout, proc.stderr, expected)
         return proc

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: outputs, exit codes, determinism."""
 
 import errno
+import gc
 import json
 import math
 import os
@@ -16,7 +17,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import wignerlab.sweep as sweep_module
-from wignerlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, _write_table, main
+from wignerlab.cli import (
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY_FAILED,
+    _write_table,
+    entry_point,
+    main,
+)
 from wignerlab.states import HelicityClass, state_from_json_dict
 from wignerlab.sweep import (
     _CSV_CHUNK_ROWS,
@@ -544,12 +552,28 @@ class TestEntryPoint:
             main([])
         assert exc.value.code == EXIT_USAGE
 
+    def test_only_the_entry_point_freezes_the_collector(self, capsys, monkeypatch):
+        freezes = []
+        monkeypatch.setattr(gc, "freeze", lambda: freezes.append(None))
+        argv = ["angle", "--u", "0.5", "--v", "0.5", "--phi", "0.7"]
+        monkeypatch.setattr(sys, "argv", ["wignerlab", *argv])
+        with pytest.raises(SystemExit) as exc:
+            entry_point()
+        assert exc.value.code == EXIT_OK and len(freezes) == 1
+        assert main(argv) == EXIT_OK and main(["verify", "--grid", "3"]) == EXIT_OK
+        assert len(freezes) == 1
+        assert "delta =" in capsys.readouterr().out
+
 
 def _child(code: str, **env) -> str:
     """Stdout of a fresh interpreter running ``code``, with ``env`` and no other BLAS setting."""
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     proc = subprocess.run(
-        [sys.executable, "-c", code], env={**base, **env}, capture_output=True, text=True
+        [sys.executable, "-c", code],
+        env={**base, **env},
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
@@ -558,8 +582,12 @@ def _child(code: str, **env) -> str:
 _BLAS_SETTING = "print(os.environ.get('OPENBLAS_NUM_THREADS'))"
 
 
+_NUMPY_RANDOM = "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']))"
+
+
 class TestProcessSetUp:
-    """The CLI starts numpy with one BLAS thread unless the caller chose a count."""
+    """The CLI starts numpy with one BLAS thread unless the caller chose a count,
+    and loads no more of numpy than ``import numpy`` does."""
 
     def test_package_import_loads_no_numpy(self):
         assert _child("import sys, wignerlab; print('numpy' in sys.modules)") == "False"
@@ -576,3 +604,12 @@ class TestProcessSetUp:
 
     def test_numpy_first_leaves_the_environment_alone(self):
         assert _child(f"import os, numpy, wignerlab.cli; {_BLAS_SETTING}") == "None"
+
+    def test_verify_loads_no_numpy_random(self):
+        """Compared with ``import numpy`` alone, which loads numpy.random eagerly on numpy 1.24."""
+        numpy_alone = _child(f"import sys, numpy; {_NUMPY_RANDOM}")
+        out = _child(
+            "import sys; from wignerlab import cli; "
+            f"code = cli.main(['verify', '--grid', '3']); {_NUMPY_RANDOM}; print(code)"
+        )
+        assert out.splitlines()[-2:] == [numpy_alone, str(EXIT_OK)]

@@ -292,6 +292,10 @@ class TestUltraGeometrySolves:
         for phi in refused:
             with pytest.raises(ValueError, match="not reachable sub-luminally"):
                 kin.equal_speed_ultra_threshold(phi)
+        with pytest.raises(ValueError) as exc:
+            kin.equal_speed_ultra_threshold(math.pi)
+        assert "phi <= pi/2" not in str(exc.value)
+        assert f"phi = {math.pi!r}" in str(exc.value)
         offsets = (10.0 ** -np.arange(1.0, 17.0)).tolist()
         for phi in [math.pi / 2 + d for d in offsets] + [math.pi - d for d in offsets]:
             try:

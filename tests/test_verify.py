@@ -1,10 +1,13 @@
 """Tests for the invariant suite: the check table, tolerances and grid."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
+from wignerlab import entanglement as ent
+from wignerlab import kinematics as kin
 from wignerlab import verify
 from wignerlab.verify import DEFAULT_TOLERANCES, run_all
 
@@ -74,3 +77,46 @@ class TestSingleReduction:
         for w in worst:
             assert type(w) is float and math.copysign(1.0, w) == 1.0
         assert [r.passed for r in results] == [True, True, False, False]
+
+
+def _spy(monkeypatch, module, name):
+    """Record the (args, result) of each call of ``module.name``."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestSampler:
+    def test_runs_repeat(self, small_run):
+        assert run_all(3) == small_run
+
+    def test_argmax_broadcast_gives_the_bits_of_one_call_per_pair(self, monkeypatch):
+        tan = _spy(monkeypatch, kin, "wigner_angle_tan_form")
+        argmax = _spy(monkeypatch, kin, "argmax_boost_angle")
+        [(_, _, gaps)] = verify._check_argmax(3, random.Random(7))
+        monkeypatch.undo()
+        [((u, v, phis), angles)] = tan
+        [(_, best)] = argmax
+        assert angles.shape == (20, verify._ARGMAX_SAMPLES) and best.shape == (20,)
+        rng = random.Random(7)
+        for k in range(20):
+            pair = rng.uniform(0.1, 0.995), rng.uniform(0.1, 0.995)
+            assert (u[k, 0], v[k, 0]) == pair
+            np.testing.assert_array_equal(angles[k], kin.wigner_angle_tan_form(*pair, phis))
+            assert best[k] == kin.argmax_boost_angle(*pair)
+            assert gaps[k] == abs(phis[np.argmax(angles[k])] - best[k])
+
+    def test_entropy_oracle_closed_form_gives_the_bits_of_one_call_per_sample(self, monkeypatch):
+        closed = _spy(monkeypatch, ent, "boosted_entropy_closed_form")
+        verify._check_entropy_oracle(3, random.Random(7))
+        monkeypatch.undo()
+        assert [cls for (_, _, cls), _ in closed] == list(verify._ALL_CLASSES)
+        for (etas, deltas, cls), entropies in closed:
+            assert entropies.shape == etas.shape and etas.size > 0
+            pairs = zip(etas.tolist(), deltas.tolist())
+            assert entropies.tolist() == [ent.boosted_entropy_closed_form(*p, cls) for p in pairs]
