@@ -17,11 +17,10 @@ W = cos^2(delta) for the unequal-helicity family.
 
 The partial trace and the 2x2 eigenvalues are computed on Python complex
 numbers and floats (no BLAS call, no small-array overhead); the results
-are still returned as numpy arrays, and the kernels stay numpy's, with
-results on floats taken as Python floats (``kinematics._apply``).
+are still returned as numpy arrays.  As in ``kinematics``, a scalar entry
+picks a float kernel (``_*_f``, or inline) or an array kernel once per call.
 ``eta``, ``delta`` and ``p`` pass the library's input rule
-(``kinematics._checked``): real and finite, and computed in float64
-unless given as floats.
+(``kinematics._checked``): real and finite, and computed in float64.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import math
 
 import numpy as np
 
-from .kinematics import _MATRIX, _apply, _checked, _clip, _scalar_or_array, _sqrt
+from .kinematics import _MATRIX, _checked, _scalar_or_array
 from .states import _EQUAL_PLUS, _UNEQUAL, HelicityClass, SpinMomentumState
 
 __all__ = [
@@ -122,9 +121,7 @@ def density_eigenvalues(rho: np.ndarray) -> np.ndarray:
 
 
 def _xlog2x(x):
-    """x log2 x elementwise, with 0 log 0 := 0; log2 only ever sees positive values."""
-    if isinstance(x, float):
-        return x * _apply(np.log2, x) if x > 0.0 else 0.0
+    """x log2 x of a float64 array, with 0 log 0 := 0; log2 only ever sees positive values."""
     out = np.zeros_like(x)
     np.log2(x, out=out, where=x > 0.0)
     out *= x
@@ -133,8 +130,15 @@ def _xlog2x(x):
 
 
 def _entropy_bits(a, b):
-    """-(a log2 a + b log2 b) of two floats or float64 arrays in [0, 1]."""
+    """-(a log2 a + b log2 b) of two float64 arrays in [0, 1]."""
     return _scalar_or_array(-(_xlog2x(a) + _xlog2x(b)) + 0.0)  # + 0.0 normalizes -0.0
+
+
+def _entropy_bits_f(a, b):
+    """Float kernel of :func:`_entropy_bits`: its operations, in its order."""
+    ta = a * float(np.log2(a)) if a > 0.0 else 0.0
+    tb = b * float(np.log2(b)) if b > 0.0 else 0.0
+    return -(ta + tb) + 0.0
 
 
 def binary_entropy(p):
@@ -142,13 +146,16 @@ def binary_entropy(p):
 
     ``p`` is clipped into [0, 1]; non-finite ``p`` raises ValueError.
     """
-    p = _clip(p if isinstance(p, float) and abs(p) < math.inf else _checked(p, _P), 1.0)
+    if isinstance(p, float) and abs(p) < math.inf:
+        p = min(max(float(p), 0.0), 1.0)  # float(): an np.float64 result would stay one
+        return _entropy_bits_f(p, 1.0 - p)
+    p = np.clip(_checked(p, _P), 0.0, 1.0)
     return _entropy_bits(p, 1.0 - p)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy -sum(lambda log2 lambda) of a 2x2 density matrix, in bits."""
-    return _entropy_bits(*_eigenvalue_pair(rho))
+    return _entropy_bits_f(*_eigenvalue_pair(rho))
 
 
 def rest_frame_entropy(eta, helicity_class: HelicityClass):
@@ -159,30 +166,41 @@ def rest_frame_entropy(eta, helicity_class: HelicityClass):
     unequal-helicity family is a product state, entropy 0 for every eta.
     Non-finite ``eta`` raises ValueError.
     """
-    if not (isinstance(eta, float) and abs(eta) < math.inf):
-        eta = _checked(eta, _ETA)
-    return _rest_frame_entropy(eta, helicity_class)
+    if isinstance(eta, float) and abs(eta) < math.inf:
+        if helicity_class is _UNEQUAL:
+            return 0.0
+        c = float(np.cos(eta))
+        c2 = c * c
+        return _entropy_bits_f(c2, 1.0 - c2)
+    return _rest_frame_entropy(_checked(eta, _ETA), helicity_class)
 
 
 def _rest_frame_entropy(eta, helicity_class: HelicityClass):
-    """Unchecked :func:`rest_frame_entropy` of a float or float64-array eta."""
+    """Unchecked :func:`rest_frame_entropy` of a float64-array eta."""
     if helicity_class is _UNEQUAL:
         return _scalar_or_array(np.zeros_like(eta))
-    c = _apply(np.cos, eta)
+    c = np.cos(eta)
     c2 = c * c  # cos^2 eta lies in [0, 1]
     return _entropy_bits(c2, 1.0 - c2)
 
 
 def _xi_factor(eta, delta, helicity_class: HelicityClass):
-    """``(s2, gap)``: s2 = sin^2 2eta and gap = sqrt(cos^2 2eta + W s2).
+    """``(s2, gap)`` of float64 arrays: s2 = sin^2 2eta and gap = sqrt(cos^2 2eta + W s2).
 
     The gap is 2p - 1, the spectral gap of the reduced matrix.
     """
-    t = _apply(np.cos if helicity_class is _UNEQUAL else np.sin, delta)
-    s, c = _apply(np.sin, 2.0 * eta), _apply(np.cos, 2.0 * eta)
+    t = (np.cos if helicity_class is _UNEQUAL else np.sin)(delta)
+    s, c = np.sin(2.0 * eta), np.cos(2.0 * eta)
     s2 = s * s
-    gap = _sqrt(c * c + t * t * s2)
-    return s2, _clip(gap, 1.0)
+    return s2, np.clip(np.sqrt(c * c + t * t * s2), 0.0, 1.0)
+
+
+def _xi_factor_f(eta, delta, helicity_class: HelicityClass):
+    """Float kernel of :func:`_xi_factor`: its operations, in its order."""
+    t = float((np.cos if helicity_class is _UNEQUAL else np.sin)(delta))
+    s, c = float(np.sin(2.0 * eta)), float(np.cos(2.0 * eta))
+    s2 = s * s
+    return s2, min(max(math.sqrt(c * c + t * t * s2), 0.0), 1.0)
 
 
 def boosted_entropy_closed_form(eta, delta, helicity_class: HelicityClass):
@@ -193,21 +211,22 @@ def boosted_entropy_closed_form(eta, delta, helicity_class: HelicityClass):
     delta -> 0.  Accepts scalars, lists or broadcastable arrays; non-finite
     ``eta`` or ``delta`` raises ValueError.
     """
-    if not (isinstance(eta, float) and isinstance(delta, float)
+    if (isinstance(eta, float) and isinstance(delta, float)
             and abs(eta) < math.inf and abs(delta) < math.inf):
-        eta, delta = _checked(eta, _ETA), _checked(delta, _DELTA)
-    return _boosted_entropy(eta, delta, helicity_class)
+        return _boosted_entropy_f(eta, delta, helicity_class)
+    return _boosted_entropy(_checked(eta, _ETA), _checked(delta, _DELTA), helicity_class)
 
 
 def _boosted_entropy(eta, delta, helicity_class: HelicityClass):
-    """Unchecked :func:`boosted_entropy_closed_form` of float or float64-array inputs."""
+    """Unchecked :func:`boosted_entropy_closed_form` of float64-array inputs."""
     _, gap = _xi_factor(eta, delta, helicity_class)
     return _entropy_bits(0.5 * (1.0 + gap), 0.5 * (1.0 - gap))
 
 
-def _slope(delta, s2, gap):
-    """The derivative's expression, for gap strictly inside (0, 1)."""
-    return -_apply(np.sin, 2.0 * delta) * s2 * _apply(np.arctanh, gap) / (2.0 * gap * _LN2)
+def _boosted_entropy_f(eta, delta, helicity_class: HelicityClass):
+    """Float kernel of :func:`boosted_entropy_closed_form` for finite float arguments."""
+    _, gap = _xi_factor_f(eta, delta, helicity_class)
+    return _entropy_bits_f(0.5 * (1.0 + gap), 0.5 * (1.0 - gap))
 
 
 def boosted_entropy_derivative(eta, delta):
@@ -225,15 +244,18 @@ def boosted_entropy_derivative(eta, delta):
     eta); both limits equal 0 and are returned as such.  Non-finite
     ``eta`` or ``delta`` raises ValueError.
     """
-    if not (isinstance(eta, float) and isinstance(delta, float)
+    if (isinstance(eta, float) and isinstance(delta, float)
             and abs(eta) < math.inf and abs(delta) < math.inf):
-        eta, delta = _checked(eta, _ETA), _checked(delta, _DELTA)
+        s2, gap = _xi_factor_f(eta, delta, _EQUAL_PLUS)
+        if not 0.0 < gap < 1.0:
+            return 0.0
+        return -float(np.sin(2.0 * delta)) * s2 * float(np.arctanh(gap)) / (2.0 * gap * _LN2) + 0.0
+    eta, delta = _checked(eta, _ETA), _checked(delta, _DELTA)
     s2, gap = _xi_factor(eta, delta, _EQUAL_PLUS)
-    if isinstance(gap, float):
-        return float(_slope(delta, s2, gap) + 0.0) if 0.0 < gap < 1.0 else 0.0
     singular = (gap <= 0.0) | (gap >= 1.0)
+    gap = np.where(singular, 0.5, gap)
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = _slope(delta, s2, np.where(singular, 0.5, gap))
+        value = -np.sin(2.0 * delta) * s2 * np.arctanh(gap) / (2.0 * gap * _LN2)
     return _scalar_or_array(np.where(singular, 0.0, value) + 0.0)
 
 
@@ -259,6 +281,6 @@ def entanglement_difference_bound(eta, delta, helicity_class: HelicityClass):
         difference = boosted - rest
     else:
         difference = rest - boosted
-    s, t = _apply(np.sin, 2.0 * eta), _apply(np.sin, delta)
+    s, t = np.sin(2.0 * eta), np.sin(delta)
     bound = s * s * (t * t) / (2.0 * _LN2)
     return _scalar_or_array(difference), _scalar_or_array(bound)

@@ -20,25 +20,24 @@ ufuncs) and are pure, so they are safe to call concurrently.  The matrix
 route works on stacks too: velocities are (..., 3) arrays, matrices
 (..., 4, 4), and a scalar input is the stack with an empty leading shape.
 Every numeric input, velocities included, meets the rule of ``_checked``
-or ``_checked_scalar``: a float (``np.float64`` included) is kept, anything
-else is tested in its own dtype and computed in float64, and non-real,
-NaN, infinite or out-of-range values raise ValueError.  A scalar entry
-point first tests, in one expression, that every argument is a float
-that passes its rule's test, and calls the checkers only when that fails,
-so anything else meets their conversions, messages and order.  Each
-checker call costs two Python frames, a large share of a scalar call.
-Huge finite matrix entries are valid: ``rotation_axis`` still returns
-the unit axis, and ``lorentz_defect`` inf where the residual overflows.
-A float argument skips numpy's 0-d array machinery but evaluates the
-same ufunc expressions, so it gives the array bits.  A ufunc result on
-a float becomes a Python float at once (``_apply``), because arithmetic
-on an ``np.float64`` costs two to three times as much; squares are
-products ``x * x``, which round as ``np.square`` does; square roots go
-through ``_sqrt``, where ``math.sqrt`` and ``np.sqrt`` are both
-correctly rounded.  Every other kernel stays numpy's: ``math.atan2``,
-``asin``, ``acos``, ``log2`` and ``atanh`` can differ from it in the
-last bit.  ``wigner_angle_matrix_form`` takes the same arithmetic with
-float and array speeds, so its bits agree too.
+or ``_checked_scalar``: it is tested in its own dtype and computed in
+float64 (a float array, or a Python float when scalar-only), and non-real,
+NaN, infinite or out-of-range values raise ValueError.  Huge finite
+matrix entries are valid: ``rotation_axis`` still returns the unit axis,
+and ``lorentz_defect`` inf where the residual overflows.
+
+A scalar entry point picks its kernel once per call.  When one expression
+finds every argument a float that passes its rule's test, a float kernel
+(inline, or ``_*_f`` where other code calls it too) computes on Python
+floats; anything else goes through the checkers to the array kernel.
+The float kernel takes the array kernel's operations in its order:
+ufuncs are numpy's, their results taken as Python floats
+(``float(np.sin(x))``), because ``math.atan2``, ``asin``, ``acos`` and
+``log2`` can differ in the last bit; squares are products ``x * x`` on
+both paths; square roots are ``math.sqrt``, correctly rounded as
+``np.sqrt`` is; clips are ``min`` and ``max``.  So the two give the same
+bits.  The matrix route has one kernel, ``_matrix_angle``, that takes
+the square root of its path.
 """
 
 from __future__ import annotations
@@ -88,24 +87,19 @@ _VELOCITY = (_ROTATION[0], "velocity must be finite")
 
 
 def _checked(x, rule):
-    """x as a float or a float64 array; ValueError unless ``rule``'s test holds everywhere.
+    """x as a float64 array; ValueError unless ``rule``'s test holds everywhere.
 
-    A float is tested and returned as it is.  Anything else must be real
-    (bool, integer or float) and is tested in its own dtype, so
-    ``np.float32(pi)`` is a valid angle, then returned as a float64 array.
+    x must be real (bool, integer or float) and is tested in its own dtype,
+    so ``np.float32(pi)`` is a valid angle.
     """
     test, message = rule
-    if isinstance(x, float):
-        if test(x):
-            return x
+    try:
+        x = np.asarray(x)
+    except ValueError:  # numpy refuses a ragged sequence
+        pass
     else:
-        try:
-            x = np.asarray(x)
-        except ValueError:  # numpy refuses a ragged sequence
-            pass
-        else:
-            if x.dtype.kind in "biuf" and test(x).all():
-                return x.astype(float, copy=False)
+        if x.dtype.kind in "biuf" and test(x).all():
+            return x.astype(float, copy=False)
     raise ValueError(f"{message}, got {x}")
 
 
@@ -132,30 +126,28 @@ def _is_real_scalar(x) -> bool:
 
 def _scalar_or_array(x):
     """Python float for a 0-d result, the array itself otherwise."""
-    return float(x) if isinstance(x, float) or np.ndim(x) == 0 else x
+    return float(x) if np.ndim(x) == 0 else x
 
 
-def _apply(f, x):
-    """f(x) for a ufunc f: a Python float for a float x, so later arithmetic skips numpy."""
-    return float(f(x)) if isinstance(x, float) else f(x)
+def _work(x, *others):
+    """x if it is an array of the broadcast shape of x and ``others``, else a new array.
 
-
-def _clip(x, upper):
-    """x clipped into [0, upper]: min/max for a float, np.clip otherwise."""
-    if isinstance(x, float):
-        return min(max(x, 0.0), upper)
-    return np.clip(x, 0.0, upper)
+    The array kernels write into arrays they made, so a long phi costs sin phi and cos phi.
+    """
+    shape = np.broadcast_shapes(np.shape(x), *map(np.shape, others))
+    return x if isinstance(x, np.ndarray) and x.shape == shape else np.empty(shape)
 
 
 def _gamma(u):
-    """Unchecked Lorentz factor of a float or array speed; callers validate ``u`` first."""
-    return 1.0 / _sqrt(1.0 - u * u)
+    """Unchecked Lorentz factor of a float64-array speed; callers validate ``u`` first."""
+    return 1.0 / np.sqrt(1.0 - u * u)
 
 
 def lorentz_gamma(u):
     """Lorentz factor gamma = 1/sqrt(1 - u^2) for a speed u in units of c."""
-    u = u if isinstance(u, float) and 0.0 <= u < 1.0 else _checked(u, _SPEED)
-    return _scalar_or_array(_gamma(u))
+    if isinstance(u, float) and 0.0 <= u < 1.0:
+        return 1.0 / math.sqrt(1.0 - u * u)
+    return _scalar_or_array(_gamma(_checked(u, _SPEED)))
 
 
 def speed_factor_d(u, v):
@@ -168,22 +160,33 @@ def speed_factor_d(u, v):
     (below ~1e-154) that num/den overflows.  gamma - 1 is taken as
     u^2 gamma^2/(gamma + 1), which does not cancel at small speeds.
     """
-    if not (isinstance(u, float) and isinstance(v, float) and 0.0 <= u < 1.0 and 0.0 <= v < 1.0):
-        u, v = _checked(u, _U), _checked(v, _V)
-    return _speed_factor(u, v)
+    if isinstance(u, float) and isinstance(v, float) and 0.0 <= u < 1.0 and 0.0 <= v < 1.0:
+        return _speed_factor_f(u, v)
+    return _scalar_or_array(_speed_factor(_checked(u, _U), _checked(v, _V)))
 
 
 def _speed_factor(u, v):
-    """Unchecked D of float or float64-array speeds; callers validate ``u`` and ``v`` first."""
+    """Unchecked D of float64-array speeds; callers validate ``u`` and ``v`` first."""
     gu, gv = _gamma(u), _gamma(v)
     num = (gu + 1.0) * (gv + 1.0)
     den = (u * u * gu * gu / (gu + 1.0)) * (v * v * gv * gv / (gv + 1.0))
-    if isinstance(den, float):
-        # den is 0 for a zero (or underflowing) speed: D = +inf.  Python
-        # float division overflows to inf silently, without np.errstate.
-        return math.inf if den == 0.0 else math.sqrt(float(num) / float(den))
     with np.errstate(divide="ignore", over="ignore"):
         return np.sqrt(num / den)
+
+
+def _speed_factor_f(u, v):
+    """Float kernel of :func:`_speed_factor`: its operations, in its order."""
+    gu, gv = 1.0 / math.sqrt(1.0 - u * u), 1.0 / math.sqrt(1.0 - v * v)
+    num = (gu + 1.0) * (gv + 1.0)
+    den = (u * u * gu * gu / (gu + 1.0)) * (v * v * gv * gv / (gv + 1.0))
+    # den is 0 for a zero (or underflowing) speed: D = +inf.  Python float
+    # division overflows to inf silently; np.float64 division would warn.
+    return math.inf if den == 0.0 else math.sqrt(float(num) / float(den))
+
+
+def _direction_f(phi):
+    """(sin phi, cos phi) of a float angle in [0, pi], as :func:`_standard_geometry` takes them."""
+    return 0.0 if phi == 0.0 or phi == math.pi else float(np.sin(phi)), float(np.cos(phi))
 
 
 def wigner_angle_cos_form(u, v, phi):
@@ -202,12 +205,28 @@ def wigner_angle_cos_form(u, v, phi):
     Returns delta in [0, pi], never -0.0: exactly +0 for u = 0, v = 0, phi = 0
     or phi = pi (the float value of pi is treated as exactly collinear).
     """
+    if (isinstance(u, float) and isinstance(v, float) and isinstance(phi, float)
+            and 0.0 <= u < 1.0 and 0.0 <= v < 1.0 and 0.0 <= phi <= math.pi):
+        sin_phi, cos_phi = _direction_f(phi)
+        gu, gv = 1.0 / math.sqrt(1.0 - u * u), 1.0 / math.sqrt(1.0 - v * v)
+        w = gu * gv * (1.0 + u * v * cos_phi)
+        den = (gu + 1.0) * (gv + 1.0) * (w + 1.0)
+        sin_half = gu * gv * u * v * sin_phi / math.sqrt(2.0 * den)
+        return 2.0 * float(np.arcsin(min(max(sin_half, 0.0), 1.0))) + 0.0  # + 0.0: no -0.0
     u, v, (sin_phi, _, cos_phi) = _standard_geometry(u, v, phi)
     gu, gv = _gamma(u), _gamma(v)
-    w = gu * gv * (1.0 + u * v * cos_phi)
-    den = (gu + 1.0) * (gv + 1.0) * (w + 1.0)
-    sin_half = gu * gv * u * v * sin_phi / _sqrt(2.0 * den)
-    return _scalar_or_array(2.0 * np.arcsin(_clip(sin_half, 1.0)) + 0.0)  # + 0.0: no -0.0
+    out = np.multiply(u * v, cos_phi, out=_work(cos_phi, u, v))
+    out += 1.0
+    np.multiply(gu * gv, out, out=out)  # w, as in the float kernel
+    out += 1.0
+    np.multiply((gu + 1.0) * (gv + 1.0), out, out=out)
+    out *= 2.0
+    np.sqrt(out, out=out)
+    np.divide(np.multiply(gu * gv * u * v, sin_phi, out=_work(sin_phi, u, v)), out, out=out)
+    np.arcsin(np.clip(out, 0.0, 1.0, out=out), out=out)
+    out *= 2.0
+    out += 0.0
+    return _scalar_or_array(out)
 
 
 def wigner_angle_tan_form(u, v, phi):
@@ -219,8 +238,21 @@ def wigner_angle_tan_form(u, v, phi):
     D = +inf and hence delta = 0; so do phi = 0 and phi = pi (the float
     value of pi is treated as exactly collinear).
     """
+    if (isinstance(u, float) and isinstance(v, float) and isinstance(phi, float)
+            and 0.0 <= u < 1.0 and 0.0 <= v < 1.0 and 0.0 <= phi <= math.pi):
+        return _tan_form_f(u, v, phi)
     u, v, (sin_phi, _, cos_phi) = _standard_geometry(u, v, phi)
-    return _scalar_or_array(2.0 * np.arctan2(sin_phi, cos_phi + _speed_factor(u, v)))
+    d = _speed_factor(u, v)
+    out = np.add(cos_phi, d, out=_work(cos_phi, d))
+    np.arctan2(sin_phi, out, out=out)
+    out *= 2.0
+    return _scalar_or_array(out)
+
+
+def _tan_form_f(u, v, phi):
+    """Float kernel of :func:`wigner_angle_tan_form` for valid float arguments."""
+    sin_phi, cos_phi = _direction_f(phi)
+    return 2.0 * float(np.arctan2(sin_phi, cos_phi + _speed_factor_f(u, v)))
 
 
 def argmax_boost_angle(u, v):
@@ -231,16 +263,15 @@ def argmax_boost_angle(u, v):
     D -> inf).  For u = 0 or v = 0 the rotation vanishes for every phi,
     so no maximum exists; that degenerate case raises ValueError.
     """
-    if not (isinstance(u, float) and isinstance(v, float) and 0.0 <= u < 1.0 and 0.0 <= v < 1.0):
+    if isinstance(u, float) and isinstance(v, float) and 0.0 <= u < 1.0 and 0.0 <= v < 1.0:
+        if u != 0.0 and v != 0.0:
+            return float(np.arccos(-1.0 / _speed_factor_f(u, v)))
+    else:
         u, v = _checked(u, _U), _checked(v, _V)
-    d = _speed_factor(u, v)
-    if isinstance(d, float):
-        degenerate = u == 0.0 or v == 0.0
-    else:  # one of u and v may still be a float
-        degenerate = (np.asarray(u) == 0.0).any() or (np.asarray(v) == 0.0).any()
-    if degenerate:
-        raise ValueError("no rotation: delta vanishes identically when u = 0 or v = 0")
-    return _scalar_or_array(np.arccos(-1.0 / d))
+        d = _speed_factor(u, v)
+        if np.all(u != 0.0) and np.all(v != 0.0):
+            return _scalar_or_array(np.arccos(-1.0 / d))
+    raise ValueError("no rotation: delta vanishes identically when u = 0 or v = 0")
 
 
 def ultra_relativistic_condition(u, v, phi):
@@ -252,17 +283,25 @@ def ultra_relativistic_condition(u, v, phi):
     sin(phi) - cos(phi) <= -D (phi < pi/4), so it must not be applied
     blindly; the unsquared form is used here.
     """
-    if not (isinstance(u, float) and isinstance(v, float) and isinstance(phi, float)
+    if (isinstance(u, float) and isinstance(v, float) and isinstance(phi, float)
             and 0.0 <= u < 1.0 and 0.0 <= v < 1.0 and 0.0 <= phi <= math.pi):
-        phi, u, v = _checked(phi, _PHI), _checked(u, _U), _checked(v, _V)
-    cond = _apply(np.sin, phi) - _apply(np.cos, phi) >= _speed_factor(u, v)
+        return _ultra_f(u, v, phi)
+    phi, u, v = _checked(phi, _PHI), _checked(u, _U), _checked(v, _V)
+    cond = np.sin(phi) - np.cos(phi) >= _speed_factor(u, v)
     return cond if isinstance(cond, np.ndarray) else bool(cond)
+
+
+def _ultra_f(u, v, phi):
+    """Float kernel of :func:`ultra_relativistic_condition` for valid float arguments."""
+    return float(np.sin(phi)) - float(np.cos(phi)) >= _speed_factor_f(u, v)
 
 
 def equal_speed_ultra_threshold(phi: float) -> float:
     """Least equal speed u = v at which delta >= pi/2 for a given phi.
 
-    Solves D(u, u) = sin(phi) - cos(phi).  A sub-luminal solution exists
+    Solves D(u, u) = sin(phi) - cos(phi), then steps one float at a time
+    to where ``ultra_relativistic_condition(u, u, phi)`` holds and fails
+    one float below.  A sub-luminal solution exists
     only for phi in (pi/2, pi), where sin(phi) - cos(phi) > 1; outside
     that range (e.g. perpendicular boosts, phi = pi/2) the threshold is
     reachable only in the light-speed limit and ValueError is raised.
@@ -275,6 +314,11 @@ def equal_speed_ultra_threshold(phi: float) -> float:
     if target > 1.0 and phi != math.pi:
         gamma = (target + 1.0) / (target - 1.0)
         u = math.sqrt(1.0 - 1.0 / (gamma * gamma))
+        while u < 1.0 and not _ultra_f(u, u, phi):
+            u = math.nextafter(u, 1.0)
+        below = math.nextafter(u, 0.0)
+        while u < 1.0 and _ultra_f(below, below, phi):
+            u, below = below, math.nextafter(below, 0.0)
         if u < 1.0:
             return u
     raise ValueError(
@@ -291,16 +335,11 @@ def ultra_phi_interval(u: float, v: float) -> tuple[float, float] | None:
     of reach for these speeds); a degenerate interval [3pi/4, 3pi/4]
     when D = sqrt(2) exactly.  ``u`` and ``v`` are scalar-only.
     """
-    d = _speed_factor(_checked_scalar(u, _U), _checked_scalar(v, _V))
+    d = _speed_factor_f(_checked_scalar(u, _U), _checked_scalar(v, _V))
     if d > math.sqrt(2.0):
         return None
     a = math.asin(d / math.sqrt(2.0))
     return (math.pi / 4.0 + a, 5.0 * math.pi / 4.0 - a)
-
-
-def _sqrt(x):
-    """math.sqrt for a float, np.sqrt otherwise: both round correctly, so the bits agree."""
-    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
 
 
 def _dot(a, b):
@@ -313,9 +352,9 @@ def _cross(a, b):
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-def _half_rapidity(g):
-    """(cosh(rho/2), sinh(rho/2)/|beta|) of a boost with Lorentz factor g."""
-    return _sqrt((g + 1.0) / 2.0), g / _sqrt(2.0 * (g + 1.0))
+def _half_rapidity(g, sqrt):
+    """(cosh(rho/2), sinh(rho/2)/|beta|) of a boost with Lorentz factor g; ``sqrt`` fits g."""
+    return sqrt((g + 1.0) / 2.0), g / sqrt(2.0 * (g + 1.0))
 
 
 def _spinor_boost(velocity):
@@ -328,7 +367,7 @@ def _spinor_boost(velocity):
         b2 = _dot(comps, comps)
     if not (b2 < 1.0).all():
         raise ValueError(f"velocity must be sub-luminal, got |v| = {math.sqrt(np.max(b2))}")
-    c, k = _half_rapidity(1.0 / np.sqrt(1.0 - b2))
+    c, k = _half_rapidity(1.0 / np.sqrt(1.0 - b2), np.sqrt)
     return c, [k * b for b in comps]
 
 
@@ -356,13 +395,13 @@ def boost_matrix(velocity) -> np.ndarray:
     return _boost_4x4(*_spinor_boost(velocity))
 
 
-def _spinor_boost_along(speed, direction):
+def _spinor_boost_along(speed, direction, sqrt):
     """(c, s) of the SL(2,C) boost with |beta| = speed along a unit direction triple.
 
     gamma is taken from the speed itself, not from a sum over rounded
     velocity components, so 1 - |beta|^2 stays accurate as speed -> 1.
     """
-    c, k = _half_rapidity(_gamma(speed))
+    c, k = _half_rapidity(1.0 / sqrt(1.0 - speed * speed), sqrt)
     k = k * speed
     return c, (k * direction[0], k * direction[1], k * direction[2])
 
@@ -381,12 +420,12 @@ def _spinor_product(first, second):
     return c1 * c2 + _dot(s1, s2), _cross(s2, s1)
 
 
-def _rotation_angle(a0, qq):
-    """delta = 2 atan2(|q|, a0), from a0 and |q|^2 of the spinor product.
+def _rotation_angle(a0, qq, sqrt):
+    """delta = 2 atan2(|q|, a0), a numpy scalar or array, from a0 and |q|^2 of the spinor product.
 
     a0 > 0, so delta lies in [0, pi); no large numbers are subtracted.
     """
-    return _scalar_or_array(2.0 * np.arctan2(_sqrt(qq), a0))
+    return 2.0 * np.arctan2(sqrt(qq), a0)
 
 
 class BoostComposition(NamedTuple):
@@ -430,7 +469,7 @@ def compose_boosts(first, second) -> BoostComposition:
     a0, q = _spinor_product((c1, s1), (c2, s2))
     p = (c1 * s2[0] + c2 * s1[0], c1 * s2[1] + c2 * s1[1], c1 * s2[2] + c2 * s1[2])
     qq = _dot(q, q)
-    n = _sqrt(a0 * a0 + qq)
+    n = np.sqrt(a0 * a0 + qq)
     m = [(a0 * pk + ck) / n for pk, ck in zip(p, _cross(p, q))]
     w = a0 / n
     boost = _boost_4x4(n, m)
@@ -445,7 +484,7 @@ def compose_boosts(first, second) -> BoostComposition:
     spatial[..., _AXIAL_ROWS, _AXIAL_COLS] -= wr
     spatial[..., _AXIAL_COLS, _AXIAL_ROWS] += wr
     rotation[..., 1:, 1:] = spatial
-    return BoostComposition(boost, rotation, _rotation_angle(a0, qq))
+    return BoostComposition(boost, rotation, _scalar_or_array(_rotation_angle(a0, qq, np.sqrt)))
 
 
 def rotation_axis(rotation: np.ndarray) -> np.ndarray:
@@ -456,7 +495,7 @@ def rotation_axis(rotation: np.ndarray) -> np.ndarray:
     (angle below ~1e-12).  Huge finite entries give the true unit axis.
     Non-finite entries or other shapes raise ValueError.
     """
-    rotation = np.asarray(_checked(rotation, _ROTATION))
+    rotation = _checked(rotation, _ROTATION)
     if rotation.shape[-2:] not in ((3, 3), (4, 4)):
         raise ValueError(f"rotation must be 3x3 or 4x4, got shape {rotation.shape}")
     r3 = rotation[..., 1:, 1:] if rotation.shape[-2:] == (4, 4) else rotation
@@ -469,23 +508,19 @@ def rotation_axis(rotation: np.ndarray) -> np.ndarray:
 
 
 def _standard_geometry(u, v, phi):
-    """Validated u and v, and the unit direction (sin phi, 0, cos phi) of v.
+    """Checked u and v, and the unit direction (sin phi, 0, cos phi) of v, for the array kernels.
 
-    Each stays a float when given as one, and becomes a float64 array
-    otherwise (``_checked``).  sin phi is exactly +0 at phi = 0 (also -0.0)
-    and at the float value of pi, which counts as exactly collinear, and
-    so does np.float32(pi), which passes the range check but lies above
-    pi in float64; elsewhere on [0, pi] sin phi lies in [0, 1] unclipped.
+    Each comes from ``_checked`` as a float64 array; sin phi is a new
+    array of phi's shape.  It is exactly +0 at
+    phi = 0 (also -0.0) and at the float value of pi, which counts as
+    exactly collinear, and so does np.float32(pi), which passes the range
+    check but lies above pi in float64; elsewhere on [0, pi] sin phi lies
+    in [0, 1] unclipped.
     """
-    if not (isinstance(u, float) and isinstance(v, float) and isinstance(phi, float)
-            and 0.0 <= u < 1.0 and 0.0 <= v < 1.0 and 0.0 <= phi <= math.pi):
-        u, v, phi = _checked(u, _U), _checked(v, _V), _checked(phi, _PHI)
-    if isinstance(phi, float):
-        sin_phi = 0.0 if phi == 0.0 or phi == math.pi else _apply(np.sin, phi)
-    else:
-        # masked in place: np.where would hold a second full-size sin array
-        sin_phi = np.sin(phi, out=np.zeros_like(phi), where=(phi != 0.0) & (phi < math.pi))
-    return u, v, (sin_phi, 0.0, _apply(np.cos, phi))
+    u, v, phi = _checked(u, _U), _checked(v, _V), _checked(phi, _PHI)
+    # masked in place: np.where would hold a second full-size sin array
+    sin_phi = np.sin(phi, out=np.zeros_like(phi), where=(phi != 0.0) & (phi < math.pi))
+    return u, v, (sin_phi, 0.0, np.cos(phi))
 
 
 def standard_boost_vectors(u, v, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -497,7 +532,11 @@ def standard_boost_vectors(u, v, phi) -> tuple[np.ndarray, np.ndarray]:
     vector stacks carry their common shape.  The float value of pi counts
     as exactly collinear: there the x component is exactly 0.
     """
-    u, v, (nx, _, nz) = _standard_geometry(u, v, phi)
+    if (isinstance(u, float) and isinstance(v, float) and isinstance(phi, float)
+            and 0.0 <= u < 1.0 and 0.0 <= v < 1.0 and 0.0 <= phi <= math.pi):
+        nx, nz = _direction_f(phi)
+    else:
+        u, v, (nx, _, nz) = _standard_geometry(u, v, phi)
     shape = np.broadcast_shapes(np.shape(u), np.shape(v), np.shape(nz))
     u_vec = np.zeros(shape + (3,))
     u_vec[..., 2] = u
@@ -519,11 +558,20 @@ def wigner_angle_matrix_form(u, v, phi):
     u = 0, v = 0, phi = 0 or phi = pi (the float value of pi is treated
     as exactly collinear).
     """
+    if (isinstance(u, float) and isinstance(v, float) and isinstance(phi, float)
+            and 0.0 <= u < 1.0 and 0.0 <= v < 1.0 and 0.0 <= phi <= math.pi):
+        sin_phi, cos_phi = _direction_f(phi)
+        return float(_matrix_angle(u, v, (sin_phi, 0.0, cos_phi), math.sqrt))
     u, v, direction = _standard_geometry(u, v, phi)
+    return _scalar_or_array(_matrix_angle(u, v, direction, np.sqrt))
+
+
+def _matrix_angle(u, v, direction, sqrt):
+    """Unchecked angle of the matrix route, one kernel for both paths (``_half_rapidity``)."""
     a0, q = _spinor_product(
-        _spinor_boost_along(u, (0.0, 0.0, 1.0)), _spinor_boost_along(v, direction)
+        _spinor_boost_along(u, (0.0, 0.0, 1.0), sqrt), _spinor_boost_along(v, direction, sqrt)
     )
-    return _rotation_angle(a0, _dot(q, q))
+    return _rotation_angle(a0, _dot(q, q), sqrt)
 
 
 def lorentz_defect(mat: np.ndarray):
@@ -533,7 +581,7 @@ def lorentz_defect(mat: np.ndarray):
     over the leading axes of a stack.  A residual that overflows gives inf
     silently; non-finite entries raise ValueError.
     """
-    mat = np.asarray(_checked(mat, _MATRIX))
+    mat = _checked(mat, _MATRIX)
     if mat.shape[-2:] != (4, 4):
         raise ValueError(f"matrix must be 4x4, got shape {mat.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow, then inf - inf = NaN

@@ -43,13 +43,15 @@ from enum import Enum
 import numpy as np
 
 from ._version import __version__
-from .entanglement import boosted_entropy_closed_form
+from .entanglement import _boosted_entropy_f, boosted_entropy_closed_form
 from .kinematics import (
     _U,
     _V,
     _checked,
     _checked_scalar,
     _is_real_scalar,
+    _tan_form_f,
+    _ultra_f,
     argmax_boost_angle,
     equal_speed_ultra_threshold,
     speed_factor_d,
@@ -510,16 +512,16 @@ def find_local_extrema(series: SweepSeries) -> list[Extremum]:
     several do (the nearest one, should none).  Endpoint samples never
     produce extrema.  The regime is classified with
     :func:`wignerlab.kinematics.ultra_relativistic_condition`, so the two
-    always agree.
+    always agree.  Every angle here is a float in [0, pi] and the request
+    is checked, so the float kernels of these functions are called directly.
     """
     req = series.request
     if series.phi.size < 3:
         raise ValueError("need at least 3 rows to search for interior extrema")
+    u, v, eta = float(req.u), float(req.v), float(req.eta)
 
     def etilde(p):
-        return boosted_entropy_closed_form(
-            req.eta, wigner_angle_tan_form(req.u, req.v, p), req.helicity_class
-        )
+        return _boosted_entropy_f(eta, _tan_form_f(u, v, p), req.helicity_class)
 
     candidates = None  # built on demand: argmax_boost_angle raises for u = 0 or v = 0
     found = []
@@ -528,22 +530,18 @@ def find_local_extrema(series: SweepSeries) -> list[Extremum]:
             phi_hat = float(0.5 * (series.phi[lo] + series.phi[hi]))
         else:
             if candidates is None:
-                crossings = ultra_phi_interval(req.u, req.v) or ()
-                candidates = (argmax_boost_angle(req.u, req.v), *crossings)
+                crossings = ultra_phi_interval(u, v) or ()
+                candidates = (argmax_boost_angle(u, v), *crossings)
             a, b = series.phi[lo - 1], series.phi[lo + 1]
             sign = 1.0 if kind is ExtremumKind.MINIMUM else -1.0
             phi_hat = min(
                 candidates, key=lambda c: (max(a - c, c - b, 0.0), sign * etilde(c))
             )
-        regime = (
-            Regime.ULTRA
-            if ultra_relativistic_condition(req.u, req.v, phi_hat)
-            else Regime.MID
-        )
+        regime = Regime.ULTRA if _ultra_f(u, v, phi_hat) else Regime.MID
         found.append(
             Extremum(
                 phi=phi_hat,
-                entropy=float(etilde(phi_hat)),
+                entropy=etilde(phi_hat),
                 kind=kind,
                 regime=regime,
                 plateau=hi > lo,
@@ -558,8 +556,8 @@ def threshold_speed_region(phi: float, u_speeds, v_speeds=None) -> np.ndarray:
     ``u_speeds`` and ``v_speeds`` (default ``u_speeds``) are 1-d; other shapes raise ValueError.
     """
     phi = _checked_scalar(phi, (lambda x: (0.0 < x) & (x < math.pi), "phi must lie in (0, pi)"))
-    u = np.asarray(_checked(u_speeds, _U))
-    v = u if v_speeds is None else np.asarray(_checked(v_speeds, _V))
+    u = _checked(u_speeds, _U)
+    v = u if v_speeds is None else _checked(v_speeds, _V)
     for name, speeds in (("u_speeds", u), ("v_speeds", v)):
         if speeds.ndim != 1:
             raise ValueError(f"{name} must be 1-d, got shape {speeds.shape}")

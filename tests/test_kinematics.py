@@ -9,6 +9,7 @@ angle against the matrix composition, and the matrix route against a
 
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -280,6 +281,14 @@ class TestUltraGeometrySolves:
         # bidirectional: just beyond the threshold the angle straddles pi/2
         assert kin.wigner_angle_tan_form(s + 1e-4, s + 1e-4, 3 * math.pi / 4) >= math.pi / 2
         assert kin.wigner_angle_tan_form(s - 1e-4, s - 1e-4, 3 * math.pi / 4) < math.pi / 2
+
+    def test_threshold_is_where_the_condition_turns(self):
+        """On 2,001 phi the condition holds at the threshold and fails one float below it."""
+        for phi in np.linspace(math.pi / 2 + 1e-3, math.pi - 1e-3, 2001).tolist():
+            u = kin.equal_speed_ultra_threshold(phi)
+            below = math.nextafter(u, 0.0)
+            assert kin.ultra_relativistic_condition(u, u, phi), phi
+            assert not kin.ultra_relativistic_condition(below, below, phi), phi
 
     def test_threshold_requires_open_interval(self):
         for phi in (math.pi / 2, 0.3):
@@ -702,3 +711,24 @@ class TestStacks:
             assert np.array_equal(mat, kin.boost_matrix(beta))
         with pytest.raises(ValueError, match="sub-luminal"):
             kin.boost_matrix(np.vstack([betas, [[0.8, 0.8, 0.0]]]))
+
+
+class TestArrayMemory:
+    N = 100_001
+
+    @pytest.mark.parametrize("route", [kin.wigner_angle_tan_form, kin.wigner_angle_cos_form])
+    def test_angle_routes_write_into_their_own_arrays(self, route):
+        """A long phi array costs sin phi and cos phi, the result written into cos phi.
+
+        The expression's temporaries would hold four (tan) or seven (cos)
+        float64 arrays of phi's length at once.
+        """
+        phi = np.linspace(0.0, math.pi, self.N)
+        tracemalloc.start()
+        try:
+            delta = route(0.995, 0.995, phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert delta.shape == phi.shape
+        assert peak < 2.5 * phi.nbytes, peak

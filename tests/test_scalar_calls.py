@@ -19,7 +19,10 @@ inputs in each regime (``test_random_floats_agree_to_the_bit``).
 Each scalar entry point tests all-float arguments in one expression and
 calls the checkers only when it fails: an all-float call makes no checker
 call, a 0-d array call one per argument, and both give the same result
-(``test_all_float_calls_skip_the_checkers``).  The rejection table holds
+(``test_all_float_calls_skip_the_checkers``).  The test picks the kernel
+once per call: an all-float call runs the float kernel and never an array
+kernel, and a 0-d array call runs an array kernel
+(``test_all_float_calls_skip_the_array_kernels``).  The rejection table holds
 the floats just outside each rule, so a fast test that is looser than
 its rule fails there.
 """
@@ -329,6 +332,43 @@ def test_all_float_calls_skip_the_checkers(name, monkeypatch):
             checked = str(exc)
         assert len(checks) == len(args), (args, checks)
         assert fast == checked, args
+
+
+# The array kernels that the checked path of every kinematics and entropy
+# entry reaches; the entries of ``states`` are scalar-only and have none.
+ARRAY_KERNELS = (
+    (kin, "_standard_geometry"),
+    (kin, "_speed_factor"),
+    (kin, "_gamma"),
+    (ent, "_xi_factor"),
+    (ent, "_entropy_bits"),
+    (ent, "_rest_frame_entropy"),
+)
+SCALAR_ONLY = ("prepare", "boost", "rotation-matrix")
+
+
+class ArrayKernelReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", list(FAST_CALLS))
+def test_all_float_calls_skip_the_array_kernels(name, monkeypatch):
+    """With every array kernel made to raise, all-float calls still return; 0-d arrays raise."""
+    call, grids = FAST_CALLS[name]
+
+    def refusing(*args):
+        raise ArrayKernelReached
+
+    for module, kernel in ARRAY_KERNELS:
+        monkeypatch.setattr(module, kernel, refusing)
+    for args in itertools.product(*grids):
+        try:
+            call(*args)
+        except ValueError:  # argmax at a zero speed
+            pass
+        if name not in SCALAR_ONLY:
+            with pytest.raises(ArrayKernelReached):
+                call(*map(np.asarray, args))
 
 
 SCALAR_CALLS = {
