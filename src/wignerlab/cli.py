@@ -175,10 +175,7 @@ def _parse_tolerance_overrides(pairs) -> dict:
         name, sep, value = pair.partition("=")
         if not sep:
             raise ValueError(f"--tol expects NAME=VALUE, got {pair!r}")
-        tolerance = float(value)
-        if not tolerance >= 0.0:  # NaN fails too
-            raise ValueError(f"--tol {name} must be >= 0, got {value!r}")
-        overrides[name] = tolerance
+        overrides[name] = float(value)
     return overrides
 
 

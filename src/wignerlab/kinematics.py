@@ -138,27 +138,32 @@ def _work(x, *others):
     return x if isinstance(x, np.ndarray) and x.shape == shape else np.empty(shape)
 
 
-def _gamma(u):
-    """Unchecked Lorentz factor of a float64-array speed; callers validate ``u`` first."""
-    return 1.0 / np.sqrt(1.0 - u * u)
+def _sigma(u):
+    """Unchecked 1/gamma = sqrt((1 - u)(1 + u)) of a float64-array speed; callers validate ``u``.
+
+    Every angle route works from sigma: no factor cancels as u -> 0, and
+    (1 - u)(1 + u) keeps its digits as u -> 1, where 1 - u*u would not.
+    """
+    return np.sqrt((1.0 - u) * (1.0 + u))
 
 
 def lorentz_gamma(u):
     """Lorentz factor gamma = 1/sqrt(1 - u^2) for a speed u in units of c."""
     if isinstance(u, float) and 0.0 <= u < 1.0:
-        return 1.0 / math.sqrt(1.0 - u * u)
-    return _scalar_or_array(_gamma(_checked(u, _SPEED)))
+        return 1.0 / math.sqrt((1.0 - u) * (1.0 + u))
+    return _scalar_or_array(1.0 / _sigma(_checked(u, _SPEED)))
 
 
 def speed_factor_d(u, v):
-    """Speed factor D = sqrt((gamma_u+1)(gamma_v+1)/((gamma_u-1)(gamma_v-1))).
+    """Speed factor D = coth(zeta_u/2) coth(zeta_v/2) = (1 + sigma_u)(1 + sigma_v)/(u v).
 
-    D >= 1 captures the entire speed dependence of the rotation angle,
-    with D -> 1 only in the light-speed limit.  Degenerate speeds
-    (u = 0 or v = 0) make the rotation vanish identically; that limit is
-    reported as +inf rather than an error, and so is a speed so small
-    (below ~1e-154) that num/den overflows.  gamma - 1 is taken as
-    u^2 gamma^2/(gamma + 1), which does not cancel at small speeds.
+    zeta is the rapidity and sigma = 1/gamma; D equals
+    sqrt((gamma_u+1)(gamma_v+1)/((gamma_u-1)(gamma_v-1))).  D >= 1
+    captures the entire speed dependence of the rotation angle, with
+    D -> 1 only in the light-speed limit.  Degenerate speeds (u = 0 or
+    v = 0) make the rotation vanish identically; that limit is reported
+    as +inf rather than an error.  D is +inf only there and where the
+    true D overflows (u v below about 2.2e-308).
     """
     if isinstance(u, float) and isinstance(v, float) and 0.0 <= u < 1.0 and 0.0 <= v < 1.0:
         return _speed_factor_f(u, v)
@@ -167,21 +172,16 @@ def speed_factor_d(u, v):
 
 def _speed_factor(u, v):
     """Unchecked D of float64-array speeds; callers validate ``u`` and ``v`` first."""
-    gu, gv = _gamma(u), _gamma(v)
-    num = (gu + 1.0) * (gv + 1.0)
-    den = (u * u * gu * gu / (gu + 1.0)) * (v * v * gv * gv / (gv + 1.0))
     with np.errstate(divide="ignore", over="ignore"):
-        return np.sqrt(num / den)
+        return (1.0 + _sigma(u)) * (1.0 + _sigma(v)) / (u * v + 0.0)  # + 0.0: -0.0 speeds
 
 
 def _speed_factor_f(u, v):
     """Float kernel of :func:`_speed_factor`: its operations, in its order."""
-    gu, gv = 1.0 / math.sqrt(1.0 - u * u), 1.0 / math.sqrt(1.0 - v * v)
-    num = (gu + 1.0) * (gv + 1.0)
-    den = (u * u * gu * gu / (gu + 1.0)) * (v * v * gv * gv / (gv + 1.0))
-    # den is 0 for a zero (or underflowing) speed: D = +inf.  Python float
-    # division overflows to inf silently; np.float64 division would warn.
-    return math.inf if den == 0.0 else math.sqrt(float(num) / float(den))
+    su, sv = math.sqrt((1.0 - u) * (1.0 + u)), math.sqrt((1.0 - v) * (1.0 + v))
+    uv = float(u * v) + 0.0  # a Python float, also for np.float64 speeds
+    # Python float division overflows to inf silently, but raises at a zero u v.
+    return math.inf if uv == 0.0 else (1.0 + su) * (1.0 + sv) / uv
 
 
 def _direction_f(phi):
@@ -193,10 +193,11 @@ def wigner_angle_cos_form(u, v, phi):
     """Rotation angle from the cosine-form composition formula.
 
     The standard closed form gives cos(delta) as a quotient of gamma
-    factors; rearranging it to the equivalent half-angle expression
+    factors; rearranging it to the equivalent half-angle expression, with
+    sigma = 1/gamma,
 
-        sin(delta/2) = gamma_u gamma_v u v sin(phi) / sqrt(2 N),
-        N = (gamma_u+1)(gamma_v+1)(gamma_u gamma_v (1 + u v cos phi) + 1),
+        sin(delta/2) = u v sin(phi) / sqrt(2 N),
+        N = (1 + sigma_u)(1 + sigma_v)((1 + u v cos phi) + sigma_u sigma_v),
 
     removes the catastrophic cancellation of evaluating arccos near 1,
     which otherwise costs ~8 digits for small rotation angles.  The two
@@ -208,21 +209,21 @@ def wigner_angle_cos_form(u, v, phi):
     if (isinstance(u, float) and isinstance(v, float) and isinstance(phi, float)
             and 0.0 <= u < 1.0 and 0.0 <= v < 1.0 and 0.0 <= phi <= math.pi):
         sin_phi, cos_phi = _direction_f(phi)
-        gu, gv = 1.0 / math.sqrt(1.0 - u * u), 1.0 / math.sqrt(1.0 - v * v)
-        w = gu * gv * (1.0 + u * v * cos_phi)
-        den = (gu + 1.0) * (gv + 1.0) * (w + 1.0)
-        sin_half = gu * gv * u * v * sin_phi / math.sqrt(2.0 * den)
+        su, sv = math.sqrt((1.0 - u) * (1.0 + u)), math.sqrt((1.0 - v) * (1.0 + v))
+        uv = u * v
+        den = (1.0 + su) * (1.0 + sv) * ((1.0 + uv * cos_phi) + su * sv)
+        sin_half = uv * sin_phi / math.sqrt(2.0 * den)
         return 2.0 * float(np.arcsin(min(max(sin_half, 0.0), 1.0))) + 0.0  # + 0.0: no -0.0
     u, v, (sin_phi, _, cos_phi) = _standard_geometry(u, v, phi)
-    gu, gv = _gamma(u), _gamma(v)
-    out = np.multiply(u * v, cos_phi, out=_work(cos_phi, u, v))
+    su, sv = _sigma(u), _sigma(v)
+    uv = u * v
+    out = np.multiply(uv, cos_phi, out=_work(cos_phi, u, v))
     out += 1.0
-    np.multiply(gu * gv, out, out=out)  # w, as in the float kernel
-    out += 1.0
-    np.multiply((gu + 1.0) * (gv + 1.0), out, out=out)
+    out += su * sv
+    np.multiply((1.0 + su) * (1.0 + sv), out, out=out)  # den, as in the float kernel
     out *= 2.0
     np.sqrt(out, out=out)
-    np.divide(np.multiply(gu * gv * u * v, sin_phi, out=_work(sin_phi, u, v)), out, out=out)
+    np.divide(np.multiply(uv, sin_phi, out=_work(sin_phi, u, v)), out, out=out)
     np.arcsin(np.clip(out, 0.0, 1.0, out=out), out=out)
     out *= 2.0
     out += 0.0
@@ -299,7 +300,8 @@ def _ultra_f(u, v, phi):
 def equal_speed_ultra_threshold(phi: float) -> float:
     """Least equal speed u = v at which delta >= pi/2 for a given phi.
 
-    Solves D(u, u) = sin(phi) - cos(phi), then steps one float at a time
+    Solves D(u, u) = K, K = sin(phi) - cos(phi), in closed form,
+    u = 2 sqrt(K)/(K + 1), then steps one float at a time
     to where ``ultra_relativistic_condition(u, u, phi)`` holds and fails
     one float below.  A sub-luminal solution exists
     only for phi in (pi/2, pi), where sin(phi) - cos(phi) > 1; outside
@@ -312,8 +314,8 @@ def equal_speed_ultra_threshold(phi: float) -> float:
     phi = _checked_scalar(phi, _PHI)
     target = math.sin(phi) - math.cos(phi)
     if target > 1.0 and phi != math.pi:
-        gamma = (target + 1.0) / (target - 1.0)
-        u = math.sqrt(1.0 - 1.0 / (gamma * gamma))
+        # the closed form may round to 1 where the float below 1 is the threshold
+        u = min(2.0 * math.sqrt(target) / (target + 1.0), math.nextafter(1.0, 0.0))
         while u < 1.0 and not _ultra_f(u, u, phi):
             u = math.nextafter(u, 1.0)
         below = math.nextafter(u, 0.0)
@@ -352,9 +354,9 @@ def _cross(a, b):
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-def _half_rapidity(g, sqrt):
-    """(cosh(rho/2), sinh(rho/2)/|beta|) of a boost with Lorentz factor g; ``sqrt`` fits g."""
-    return sqrt((g + 1.0) / 2.0), g / sqrt(2.0 * (g + 1.0))
+def _half_rapidity(sigma, sqrt):
+    """(cosh(rho/2), sinh(rho/2)/|beta|) of a boost with sigma = 1/gamma; ``sqrt`` fits sigma."""
+    return sqrt((1.0 + sigma) / (2.0 * sigma)), 1.0 / sqrt(2.0 * sigma * (1.0 + sigma))
 
 
 def _spinor_boost(velocity):
@@ -367,7 +369,7 @@ def _spinor_boost(velocity):
         b2 = _dot(comps, comps)
     if not (b2 < 1.0).all():
         raise ValueError(f"velocity must be sub-luminal, got |v| = {math.sqrt(np.max(b2))}")
-    c, k = _half_rapidity(1.0 / np.sqrt(1.0 - b2), np.sqrt)
+    c, k = _half_rapidity(np.sqrt(1.0 - b2), np.sqrt)
     return c, [k * b for b in comps]
 
 
@@ -398,10 +400,10 @@ def boost_matrix(velocity) -> np.ndarray:
 def _spinor_boost_along(speed, direction, sqrt):
     """(c, s) of the SL(2,C) boost with |beta| = speed along a unit direction triple.
 
-    gamma is taken from the speed itself, not from a sum over rounded
-    velocity components, so 1 - |beta|^2 stays accurate as speed -> 1.
+    sigma = 1/gamma is taken from the speed itself, not from a sum over
+    rounded velocity components, so 1 - |beta|^2 stays accurate as speed -> 1.
     """
-    c, k = _half_rapidity(1.0 / sqrt(1.0 - speed * speed), sqrt)
+    c, k = _half_rapidity(sqrt((1.0 - speed) * (1.0 + speed)), sqrt)
     k = k * speed
     return c, (k * direction[0], k * direction[1], k * direction[2])
 
@@ -418,14 +420,6 @@ def _spinor_product(first, second):
     """
     (c1, s1), (c2, s2) = first, second
     return c1 * c2 + _dot(s1, s2), _cross(s2, s1)
-
-
-def _rotation_angle(a0, qq, sqrt):
-    """delta = 2 atan2(|q|, a0), a numpy scalar or array, from a0 and |q|^2 of the spinor product.
-
-    a0 > 0, so delta lies in [0, pi); no large numbers are subtracted.
-    """
-    return 2.0 * np.arctan2(sqrt(qq), a0)
 
 
 class BoostComposition(NamedTuple):
@@ -456,7 +450,8 @@ def compose_boosts(first, second) -> BoostComposition:
         boost    = [[1 + 2|m|^2, -2N m^T], [-2N m, I + 2 m m^T]],
         rotation = 1 (+) ((w^2 - |r|^2) I + 2 r r^T - 2 w [r]x),
 
-    with w = a0/N and r = q/N, and the angle is 2 atan2(|q|, a0).  The
+    with w = a0/N and r = q/N, and the angle is 2 atan2(|q|, a0), in
+    [0, pi) as a0 > 0; |q| is a hypot, so it does not underflow.  The
     spinor entries have size sqrt(gamma), so no composed speed is formed
     that could round to 1, and nothing is inverted or decomposed.
 
@@ -468,8 +463,7 @@ def compose_boosts(first, second) -> BoostComposition:
     (c1, s1), (c2, s2) = _spinor_boost(first), _spinor_boost(second)
     a0, q = _spinor_product((c1, s1), (c2, s2))
     p = (c1 * s2[0] + c2 * s1[0], c1 * s2[1] + c2 * s1[1], c1 * s2[2] + c2 * s1[2])
-    qq = _dot(q, q)
-    n = np.sqrt(a0 * a0 + qq)
+    n = np.sqrt(a0 * a0 + _dot(q, q))
     m = [(a0 * pk + ck) / n for pk, ck in zip(p, _cross(p, q))]
     w = a0 / n
     boost = _boost_4x4(n, m)
@@ -484,7 +478,8 @@ def compose_boosts(first, second) -> BoostComposition:
     spatial[..., _AXIAL_ROWS, _AXIAL_COLS] -= wr
     spatial[..., _AXIAL_COLS, _AXIAL_ROWS] += wr
     rotation[..., 1:, 1:] = spatial
-    return BoostComposition(boost, rotation, _scalar_or_array(_rotation_angle(a0, qq, np.sqrt)))
+    angle = 2.0 * np.arctan2(np.hypot(np.hypot(q[0], q[1]), q[2]), a0)
+    return BoostComposition(boost, rotation, _scalar_or_array(angle))
 
 
 def rotation_axis(rotation: np.ndarray) -> np.ndarray:
@@ -567,11 +562,15 @@ def wigner_angle_matrix_form(u, v, phi):
 
 
 def _matrix_angle(u, v, direction, sqrt):
-    """Unchecked angle of the matrix route, one kernel for both paths (``_half_rapidity``)."""
+    """Unchecked angle of the matrix route, one kernel for both paths (``_half_rapidity``).
+
+    In the standard geometry q = (0, q_y, 0) exactly, so |q| is |q_y|, which
+    does not underflow as q . q would below about 1e-154.
+    """
     a0, q = _spinor_product(
         _spinor_boost_along(u, (0.0, 0.0, 1.0), sqrt), _spinor_boost_along(v, direction, sqrt)
     )
-    return _rotation_angle(a0, _dot(q, q), sqrt)
+    return 2.0 * np.arctan2(abs(q[1]), a0)
 
 
 def lorentz_defect(mat: np.ndarray):

@@ -352,14 +352,17 @@ _CHECKS = (
 
 
 def run_all(grid: int = 50, tolerances: dict | None = None) -> list[CheckResult]:
-    """Run every check; ``tolerances`` overrides defaults by check name."""
+    """Run every check; ``tolerances`` overrides defaults by check name, each a number >= 0."""
     sw._check_count("grid", grid, 3)
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(tols)
         if unknown:
             raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
-        tols.update(tolerances)
+        for name, value in tolerances.items():
+            tols[name] = float(value)
+            if not tols[name] >= 0.0:  # NaN fails too
+                raise ValueError(f"{name} must be >= 0, got {tols[name]!r}")
     rng = random.Random(_SEED)
     results = []
     for check in _CHECKS:
@@ -373,7 +376,7 @@ def run_all(grid: int = 50, tolerances: dict | None = None) -> list[CheckResult]
                     name=name,
                     grid=label,
                     max_violation=worst,
-                    tolerance=float(tols[name]),
+                    tolerance=tols[name],
                     passed=bool(worst <= tols[name]),
                 )
             )

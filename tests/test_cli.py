@@ -613,3 +613,11 @@ class TestProcessSetUp:
             f"code = cli.main(['verify', '--grid', '3']); {_NUMPY_RANDOM}; print(code)"
         )
         assert out.splitlines()[-2:] == [numpy_alone, str(EXIT_OK)]
+
+    def test_verify_loads_no_mpmath(self):
+        """mpmath is the test suite's oracle, not a dependency of the library."""
+        out = _child(
+            "import sys; from wignerlab import cli; code = cli.main(['verify', '--grid', '3']); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath')); print(code)"
+        )
+        assert out.splitlines()[-2:] == ["[]", str(EXIT_OK)]

@@ -3,8 +3,8 @@
 Expected values are frozen from independent routes: gamma against the
 time-time entry of an explicitly constructed boost matrix, the D factor
 against the equal-speed form (gamma+1)/(gamma-1), every closed-form
-angle against the matrix composition, and the matrix route against a
-50-digit mpmath reference up to u = v = 1 - 1e-12.
+angle against the matrix composition, and every route against the
+60-digit mpmath oracle (``tests/oracle.py``) up to u = v = 1 - 1e-12.
 """
 
 import math
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 import wignerlab.kinematics as kin
 
 # frozen: gamma = 1/sqrt(1-u^2), cross-checked below against boost_matrix
@@ -289,6 +290,15 @@ class TestUltraGeometrySolves:
             below = math.nextafter(u, 0.0)
             assert kin.ultra_relativistic_condition(u, u, phi), phi
             assert not kin.ultra_relativistic_condition(below, below, phi), phi
+
+    @pytest.mark.parametrize("phi", [1.5707963577678032, 3.1415926226168867])
+    def test_threshold_just_below_one(self, phi):
+        """The closed form rounds to 1 here, but the condition turns at the float below 1."""
+        u = kin.equal_speed_ultra_threshold(phi)
+        below = math.nextafter(u, 0.0)
+        assert u == math.nextafter(1.0, 0.0)
+        assert kin.ultra_relativistic_condition(u, u, phi)
+        assert not kin.ultra_relativistic_condition(below, below, phi)
 
     def test_threshold_requires_open_interval(self):
         for phi in (math.pi / 2, 0.3):
@@ -587,16 +597,63 @@ class TestMatrixRouteRange:
 
 
 def _relative_error(angle, u, v, phi):
-    """|angle - delta| / delta against 50-digit tan(delta/2) = sin phi/(cos phi + D).
+    """|angle - delta| / delta against the oracle's delta at the exact float u, v and phi."""
+    return oracle.relative_error(angle, oracle.rotation_angle(u, v, phi))
 
-    The reference is evaluated at the exact float values of u, v and phi.
+
+class TestOracleRelativeError:
+    """Seeded relative errors against the 60-digit oracle over the speeds the API accepts.
+
+    u and v lie in [1e-8, 1 - 1e-12]: 60% of draws log-uniform in u, 40%
+    log-uniform in 1 - u over [1e-12, 0.1].  Angles stop at 3pi/4: in the
+    phi -> pi band cos(phi) + D (tan form) and 1 + u v cos(phi) (cos form)
+    still cancel, and the near-pi tests above cover that band at their
+    own bounds.
     """
-    with mpmath.workdps(50):
-        u, v, phi = mpmath.mpf(u), mpmath.mpf(v), mpmath.mpf(phi)
-        gu, gv = 1 / mpmath.sqrt(1 - u * u), 1 / mpmath.sqrt(1 - v * v)
-        d = mpmath.sqrt((gu + 1) * (gv + 1) / ((gu - 1) * (gv - 1)))
-        delta = 2 * mpmath.atan2(mpmath.sin(phi), mpmath.cos(phi) + d)
-        return float(abs((angle - delta) / delta))
+
+    N = 2000
+
+    def _draws(self):
+        rng = np.random.default_rng(31)
+        low, high = math.log(1e-8), math.log(1.0 - 1e-12)
+        speeds = np.exp(rng.uniform(low, high, (2, self.N)))
+        near = rng.random((2, self.N)) < 0.4
+        speeds[near] = 1.0 - np.exp(rng.uniform(math.log(1e-12), math.log(0.1), near.sum()))
+        phi = np.where(
+            rng.random(self.N) < 0.5,
+            rng.uniform(1e-8, 0.75 * math.pi, self.N),
+            np.exp(rng.uniform(math.log(1e-8), math.log(0.75 * math.pi), self.N)),
+        )
+        return speeds[0], speeds[1], phi
+
+    def test_speed_factor(self):
+        u, v, _ = self._draws()
+        errors = [
+            oracle.relative_error(d, oracle.speed_factor(a, b))
+            for a, b, d in zip(u.tolist(), v.tolist(), kin.speed_factor_d(u, v).tolist())
+        ]
+        assert max(errors) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "route",
+        [kin.wigner_angle_tan_form, kin.wigner_angle_cos_form, kin.wigner_angle_matrix_form],
+    )
+    def test_angle_routes(self, route):
+        u, v, phi = self._draws()
+        angles = route(u, v, phi).tolist()
+        errors = [
+            _relative_error(angle, a, b, p)
+            for a, b, p, angle in zip(u.tolist(), v.tolist(), phi.tolist(), angles)
+        ]
+        assert max(errors) <= 4e-15
+
+    def test_argmax(self):
+        u, v, _ = self._draws()
+        errors = [
+            oracle.relative_error(phi, oracle.argmax_angle(a, b))
+            for a, b, phi in zip(u.tolist(), v.tolist(), kin.argmax_boost_angle(u, v).tolist())
+        ]
+        assert max(errors) <= 1e-13
 
 
 class TestBoostMatrixAccuracy:
@@ -633,16 +690,37 @@ def _boost_reference(beta):
 
 
 class TestTinySpeed:
-    # D = sqrt(num/den) with den ~ u^2 v^2 / 4: num/den overflows for
-    # u ~ 1e-160 before the square root, which must give +inf silently.
+    # D = (1 + sigma_u)(1 + sigma_v)/(u v) is finite down to u v ~ 2.2e-308
+    # (u = 1e-160, v = 0.3: D = 1.30e161); below that the true D overflows,
+    # and so does a zero speed's, to +inf without a warning.
     @pytest.mark.parametrize("wrap", [float, lambda x: np.array([x])], ids=["float", "array"])
     def test_no_overflow_warning(self, wrap):
-        u, v = wrap(1e-160), wrap(0.3)
-        assert np.all(kin.speed_factor_d(u, v) == math.inf)
-        assert np.all(kin.speed_factor_d(v, u) == math.inf)
-        assert np.all(kin.wigner_angle_tan_form(u, v, wrap(1.0)) == 0.0)
-        assert np.all(kin.argmax_boost_angle(u, v) == math.pi / 2)
-        assert not np.any(kin.ultra_relativistic_condition(u, v, wrap(2.0)))
+        tiny, v, phi = wrap(1e-160), wrap(0.3), wrap(1.0)
+        for a, b in ((tiny, v), (v, tiny)):
+            assert np.all(np.isfinite(kin.speed_factor_d(a, b)))
+            tan, cos = kin.wigner_angle_tan_form(a, b, phi), kin.wigner_angle_cos_form(a, b, phi)
+            assert np.all(cos > 0.0) and np.all(abs(tan - cos) <= 1e-14 * cos)
+        for a, b in ((tiny, tiny), (wrap(0.0), v), (v, wrap(0.0))):
+            assert np.all(kin.speed_factor_d(a, b) == math.inf)
+            delta = kin.wigner_angle_tan_form(a, b, phi)
+            assert np.all(delta == 0.0) and np.all(np.copysign(1.0, delta) == 1.0)
+        for a, b in ((tiny, v), (v, tiny), (tiny, tiny)):
+            assert np.all(kin.argmax_boost_angle(a, b) == math.pi / 2)
+            assert not np.any(kin.ultra_relativistic_condition(a, b, wrap(2.0)))
+
+    @pytest.mark.parametrize("u", [1e-160, 1e-200])
+    def test_routes_agree_where_q_squared_underflows(self, u):
+        v, phi = 0.3, 1.0
+        tan = kin.wigner_angle_tan_form(u, v, phi)
+        others = (
+            kin.wigner_angle_cos_form(u, v, phi),
+            kin.wigner_angle_matrix_form(u, v, phi),
+            kin.wigner_angle_matrix_form(np.array([u]), v, phi)[0],
+            kin.compose_boosts(*kin.standard_boost_vectors(u, v, phi)).angle,
+        )
+        assert tan > 0.0
+        for angle in others:
+            assert abs(angle - tan) <= 1e-14 * tan, angle
 
 
 class TestStacks:

@@ -339,7 +339,7 @@ def test_all_float_calls_skip_the_checkers(name, monkeypatch):
 ARRAY_KERNELS = (
     (kin, "_standard_geometry"),
     (kin, "_speed_factor"),
-    (kin, "_gamma"),
+    (kin, "_sigma"),
     (ent, "_xi_factor"),
     (ent, "_entropy_bits"),
     (ent, "_rest_frame_entropy"),

@@ -50,6 +50,13 @@ class TestGridValidation:
             run_all(grid)
 
 
+class TestToleranceValidation:
+    @pytest.mark.parametrize("tolerance", [float("nan"), -1.0])
+    def test_negative_or_nan_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="angle_forms_agree must be >= 0"):
+            run_all(3, {"angle_forms_agree": tolerance})
+
+
 class TestSingleReduction:
     def test_rows_read_their_largest_violation_and_zero(self, monkeypatch):
         def stub(grid, rng):
