@@ -61,7 +61,7 @@ def reduced_density_matrix(state: SpinMomentumState, keep: str = "spin") -> np.n
     Both reduced matrices share the same spectrum (the global state is
     pure), hence the same entropy.
     """
-    a0, a1, a2, a3 = state.amplitudes.tolist()
+    a0, a1, a2, a3 = state._amps
     # A = [[a0, a1], [a2, a3]] has rows p+, p- and columns up, down.  rho is the
     # Gram matrix rho[i][j] = b_i . conj(b_j) of two vectors b_0 = p, b_1 = q:
     # the columns of A for the spin (A^T conj(A)), its rows for the momentum (A A^H).

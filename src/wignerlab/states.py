@@ -16,11 +16,14 @@ Construction, preparation, boosting and the gate maps work on the four
 amplitudes as Python floats and complex numbers: on a 4-element array
 numpy's per-call cost is many times the arithmetic.  cos and sin stay
 numpy's, because the ``math`` versions can differ from them in the last
-bit, but their results become Python floats at once.  A state holds a
-read-only complex128 copy of its amplitudes, so the caller's array stays
-its own.  Scalar inputs (eta, delta) accept floats, ints, bools, real numpy
-scalars and 0-d arrays, tested in their own dtype and evaluated in
-float64; anything else is refused with the range message.
+bit, but their results become Python floats at once.  A state holds its
+amplitudes as ``_amps``, a tuple of four Python complex numbers, which
+the library's steps read.  ``amplitudes`` is a read-only complex128 array
+of them, built on first read; the public constructor builds it at once,
+from a copy, so the caller's array stays its own.  Scalar inputs (eta,
+delta) accept floats, ints, bools, real numpy scalars and 0-d arrays,
+tested in their own dtype and evaluated in float64; anything else is
+refused with the range message.
 
 There are two ways to a state.  The public constructor
 ``SpinMomentumState(...)`` (and ``state_from_json_dict``) checks
@@ -91,6 +94,7 @@ class SpinMomentumState:
     :func:`boost_state`.  ``eta`` and ``delta`` follow the rules of
     those two functions and are stored as floats.  ``==`` and ``hash`` are
     identity: the amplitudes are an array, which has no truth value.
+    A copy or an unpickled state rebuilds its read-only array from ``_amps``.
     """
 
     amplitudes: np.ndarray
@@ -107,7 +111,8 @@ class SpinMomentumState:
             )
         if amp.ndim != 1:
             amp = amp.reshape(4)
-        m0, m1, m2, m3 = map(abs, amp.tolist())
+        amps = tuple(amp.tolist())
+        m0, m1, m2, m3 = map(abs, amps)
         norm_sq = m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3
         if not abs(norm_sq - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"state must be normalized, got |amplitudes|^2 = {norm_sq}")
@@ -121,6 +126,23 @@ class SpinMomentumState:
                 object.__setattr__(self, name, _checked_scalar(value, rule))
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
+        object.__setattr__(self, "_amps", amps)
+
+    def __getattr__(self, name):
+        """Build ``amplitudes`` on first read; only called when a name is not found.
+
+        Any other name raises without touching ``self``: copy and pickle look
+        names up on instances that are not yet filled in.
+        """
+        if name != "amplitudes":
+            raise AttributeError(f"'SpinMomentumState' object has no attribute {name!r}")
+        amplitudes = np.fromiter(self._amps, complex, 4)
+        amplitudes.setflags(write=False)
+        self.__dict__["amplitudes"] = amplitudes
+        return amplitudes
+
+    def __reduce__(self):
+        return _state, (self._amps, self.frame, self.helicity_class, self.eta, self.delta)
 
     def to_json_dict(self) -> dict:
         """JSON form: {class, eta, delta, frame, amplitudes: [[re, im] x 4]}."""
@@ -129,21 +151,19 @@ class SpinMomentumState:
             "eta": self.eta,
             "delta": self.delta,
             "frame": self.frame.value,
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
+            "amplitudes": [[a.real, a.imag] for a in self._amps],
         }
 
 
 def _state(amps, frame, helicity_class, eta, delta=None) -> SpinMomentumState:
-    """A state from amplitudes the library has just computed from checked inputs.
+    """A state from a tuple of four Python complex amplitudes the library has computed.
 
-    It holds the same read-only complex128 array as the public constructor
-    would, but skips the dataclass ``__init__`` and every check.
+    It skips the dataclass ``__init__`` and every check, and builds no
+    array: ``amplitudes`` is built, as the constructor would, on first read.
     """
-    amplitudes = np.fromiter(amps, complex, 4)
-    amplitudes.setflags(write=False)
     state = object.__new__(SpinMomentumState)
     state.__dict__.update(
-        amplitudes=amplitudes, frame=frame, helicity_class=helicity_class, eta=eta, delta=delta
+        _amps=amps, frame=frame, helicity_class=helicity_class, eta=eta, delta=delta
     )
     return state
 
@@ -179,13 +199,14 @@ def prepare_state(helicity_class: HelicityClass, eta: float) -> SpinMomentumStat
     if type(eta) is not float or not 0.0 <= eta < 2.0 * np.pi:  # _ETA's test on a float
         # a float32, float16 or bool eta is evaluated in float64, and stored as a float
         eta = _checked_scalar(eta, _ETA)
-    c, s = float(np.cos(eta)), float(np.sin(eta))
+    # complex, as the array holds them: boost_state's -s * a0 then keeps its imaginary -0.0
+    c, s = complex(np.cos(eta)), complex(np.sin(eta))
     if helicity_class is _EQUAL_PLUS:
-        amps = [c, 0.0, 0.0, s]
+        amps = (c, 0j, 0j, s)
     elif helicity_class is _EQUAL_MINUS:
-        amps = [0.0, c, s, 0.0]
+        amps = (0j, c, s, 0j)
     elif helicity_class is _UNEQUAL:
-        amps = [c, 0.0, s, 0.0]
+        amps = (c, 0j, s, 0j)
     else:
         raise ValueError(f"unknown helicity class: {helicity_class!r}")
     return _state(amps, _REST, helicity_class, eta)
@@ -215,9 +236,9 @@ def boost_state(state: SpinMomentumState, delta: float) -> SpinMomentumState:
     if state.frame is not _REST:
         raise ValueError("state is already boosted; only a single boost is modeled")
     delta, c, s = _half_angle(delta)
-    a0, a1, a2, a3 = state.amplitudes.tolist()
+    a0, a1, a2, a3 = state._amps
     return _state(
-        [c * a0 + s * a1, -s * a0 + c * a1, c * a2 - s * a3, s * a2 + c * a3],
+        (c * a0 + s * a1, -s * a0 + c * a1, c * a2 - s * a3, s * a2 + c * a3),
         _BOOSTED,
         state.helicity_class,
         state.eta,
@@ -240,9 +261,9 @@ def local_unitary_psi_to_psitilde(state: SpinMomentumState) -> SpinMomentumState
     In the fixed amplitude ordering it is the signed permutation
     (a0, a1, a2, a3) -> (-a1, a0, a3, -a2).
     """
-    a0, a1, a2, a3 = state.amplitudes.tolist()
+    a0, a1, a2, a3 = state._amps
     return _state(
-        [-a1, a0, a3, -a2],
+        (-a1, a0, a3, -a2),
         state.frame,
         _SWAP_EQUAL.get(state.helicity_class),
         state.eta,
@@ -261,6 +282,6 @@ def controlled_u_psi_to_xi(state: SpinMomentumState) -> SpinMomentumState:
     With i sigma_y = [[0, 1], [-1, 0]] it is the signed permutation
     (a0, a1, a2, a3) -> (a0, a1, a3, -a2).
     """
-    a0, a1, a2, a3 = state.amplitudes.tolist()
+    a0, a1, a2, a3 = state._amps
     new_class = _UNEQUAL if state.helicity_class is _EQUAL_PLUS else None
-    return _state([a0, a1, a3, -a2], state.frame, new_class, state.eta, state.delta)
+    return _state((a0, a1, a3, -a2), state.frame, new_class, state.eta, state.delta)

@@ -98,8 +98,9 @@ def test_readme_quick_start():
     assert len(commented) == 4
     results = [eval(expression, namespace) for expression in commented]
     assert results == list(commented.values())
-    # The tan form's value; the cos form gives 0.14334756890536535, one ulp below.
-    assert results == [0.14334756890536537, 2.1224542672159563, 0.9851714310094161, 0.0]
+    # The tan form's value, correctly rounded (60 digits: 0.14334756890536535697), as the
+    # cos form gives it.
+    assert results == [0.14334756890536535, 2.1224542672159563, 0.9851714310094161, 0.0]
 
 
 _CLS = wl.HelicityClass.EQUAL_PLUS

@@ -22,7 +22,9 @@ call, a 0-d array call one per argument, and both give the same result
 (``test_all_float_calls_skip_the_checkers``).  The test picks the kernel
 once per call: an all-float call runs the float kernel and never an array
 kernel, and a 0-d array call runs an array kernel
-(``test_all_float_calls_skip_the_array_kernels``).  The rejection table holds
+(``test_all_float_calls_skip_the_array_kernels``).  The tan form and the
+matrix route never call ``np.arctan2`` (``test_positive_denominators_skip_arctan2``).
+The rejection table holds
 the floats just outside each rule, so a fast test that is looser than
 its rule fails there.
 """
@@ -369,6 +371,27 @@ def test_all_float_calls_skip_the_array_kernels(name, monkeypatch):
         if name not in SCALAR_ONLY:
             with pytest.raises(ArrayKernelReached):
                 call(*map(np.asarray, args))
+
+
+@pytest.mark.parametrize("name", ["tan", "matrix"])
+def test_positive_denominators_skip_arctan2(name, monkeypatch):
+    """The tan form and the matrix route divide by a positive denominator and take np.arctan.
+
+    np.arctan2 has no scalar fast path; with it made to raise, all-float,
+    0-d array and whole-array calls still return, with the same bits.
+    """
+    call, grids = FAST_CALLS[name]
+    inputs = list(itertools.product(*grids)) + _route_inputs(3)
+    columns = [np.array(column) for column in zip(*inputs)]
+    expected = [_bits(call(*args)) for args in inputs]
+
+    def refusing(*args, **kwargs):
+        raise AssertionError("np.arctan2 reached")
+
+    monkeypatch.setattr(np, "arctan2", refusing)
+    assert [_bits(call(*args)) for args in inputs] == expected
+    assert [_bits(call(*map(np.asarray, args))) for args in inputs] == expected
+    assert _bits(call(*columns)) == [bits for row in expected for bits in row]
 
 
 SCALAR_CALLS = {

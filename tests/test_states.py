@@ -1,8 +1,11 @@
 """Tests for state preparation, the rotation matrices, boosting, and the maps."""
 
+import copy
 import dataclasses
+import itertools
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -444,6 +447,109 @@ class TestStateType:
 
     def test_amplitude_order_documented(self):
         assert st_mod.AMPLITUDE_ORDER == ("p+ up", "p+ down", "p- up", "p- down")
+
+
+def _library_built(cls, eta, delta):
+    """The four library-built states of one (class, eta, delta), none of them read yet."""
+    boosted = boost_state(prepare_state(cls, eta), delta)
+    return {
+        "prepare": prepare_state(cls, eta),
+        "boost": boosted,
+        "psi-to-psitilde": local_unitary_psi_to_psitilde(boosted),
+        "psi-to-xi": controlled_u_psi_to_xi(boosted),
+    }
+
+
+_GRID_ETAS = (0.0, 1e-300, 0.6, math.pi / 4, math.pi / 2, 2.5, 4.0, math.nextafter(2 * math.pi, 0))
+_GRID_DELTAS = (0.0, 1e-300, 1.1, math.pi / 2, 2.9, math.pi)
+
+
+class TestLazyAmplitudes:
+    """A library-built state holds a tuple and builds its array on first read."""
+
+    @pytest.mark.parametrize("cls", list(HelicityClass))
+    def test_no_array_until_read(self, cls):
+        for name, s in _library_built(cls, 0.6, 1.1).items():
+            assert "amplitudes" not in vars(s), name
+            assert all(type(a) is complex for a in s._amps), name
+            first = s.amplitudes
+            assert vars(s)["amplitudes"] is first, name
+            assert s.amplitudes is first and getattr(s, "amplitudes") is first, name
+            assert first.dtype == np.complex128 and first.shape == (4,), name
+            assert not first.flags.writeable, name
+
+    def test_array_has_the_bits_of_the_tuple(self):
+        """Imaginary zeros included: a gate map's -0.0 is the numpy negation's."""
+        for cls, eta, delta in itertools.product(HelicityClass, _GRID_ETAS, _GRID_DELTAS):
+            states = _library_built(cls, eta, delta)
+            for name, s in states.items():
+                built = np.fromiter(s._amps, complex, 4)
+                assert s.amplitudes.tobytes() == built.tobytes(), (cls, eta, delta, name)
+            a0, a1, a2, a3 = states["boost"].amplitudes
+            expected = {
+                "psi-to-psitilde": np.array([-a1, a0, a3, -a2]),
+                "psi-to-xi": np.array([a0, a1, a3, -a2]),
+            }
+            for name, amps in expected.items():
+                assert states[name].amplitudes.tobytes() == amps.tobytes(), (cls, eta, delta, name)
+
+    def test_repr_replace_and_json_before_the_first_read(self):
+        def fresh():
+            return boost_state(prepare_state(HelicityClass.EQUAL_MINUS, 0.6), 1.1)
+
+        reference = fresh()
+        s = fresh()
+        payload = s.to_json_dict()
+        assert "amplitudes" not in vars(s)
+        assert payload == {
+            **reference.to_json_dict(),
+            "amplitudes": [[a.real, a.imag] for a in reference.amplitudes.tolist()],
+        }
+        assert repr(fresh()) == repr(reference)
+        assert "amplitudes=array([" in repr(reference)
+        replaced = dataclasses.replace(fresh(), frame=Frame.REST)
+        assert replaced.frame is Frame.REST
+        assert replaced.amplitudes.tobytes() == reference.amplitudes.tobytes()
+
+    def test_other_missing_names_raise_attribute_error(self):
+        s = prepare_state(HelicityClass.UNEQUAL, 0.6)
+        with pytest.raises(AttributeError, match="has no attribute 'spin'"):
+            s.spin
+        empty = object.__new__(SpinMomentumState)  # as copy and pickle first make it
+        with pytest.raises(AttributeError, match="has no attribute '_amps'"):
+            empty.amplitudes
+
+
+_DUPLICATES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda s: pickle.loads(pickle.dumps(s)),
+    "pickle-0": lambda s: pickle.loads(pickle.dumps(s, protocol=0)),
+}
+_SOURCES = {
+    "boosted": lambda: boost_state(prepare_state(HelicityClass.EQUAL_PLUS, 0.6), 1.1),
+    "constructed": lambda: SpinMomentumState(
+        np.array([0.6, 0.0, -0.0j, 0.8j]), Frame.BOOSTED, HelicityClass.UNEQUAL, 0.5, 1.0
+    ),
+}
+
+
+@pytest.mark.parametrize("duplicate", list(_DUPLICATES))
+@pytest.mark.parametrize("source", list(_SOURCES))
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+def test_copies_are_read_only_with_the_same_bytes(source, duplicate, read_first):
+    """A copied or unpickled state has a read-only array with the original's bytes."""
+    original = _SOURCES[source]().amplitudes.tobytes()
+    s = _SOURCES[source]()
+    if read_first:
+        s.amplitudes
+    c = _DUPLICATES[duplicate](s)
+    assert c is not s
+    assert not c.amplitudes.flags.writeable
+    with pytest.raises(ValueError):
+        c.amplitudes[0] = 5
+    assert c.amplitudes.tobytes() == original == s.amplitudes.tobytes()
+    assert c.to_json_dict() == s.to_json_dict()  # frame, class, eta and delta too
 
 
 # Library-built states skip the constructor's checks; each must still be the
