@@ -175,7 +175,10 @@ def _parse_tolerance_overrides(pairs) -> dict:
         name, sep, value = pair.partition("=")
         if not sep:
             raise ValueError(f"--tol expects NAME=VALUE, got {pair!r}")
-        overrides[name] = float(value)
+        try:
+            overrides[name] = float(value)
+        except ValueError:
+            raise ValueError(f"--tol {name} expects a number, got {value!r}") from None
     return overrides
 
 

@@ -25,7 +25,6 @@ picks a float kernel (``_*_f``, or inline) or an array kernel once per call.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -86,14 +85,15 @@ def _eigenvalue_pair(rho) -> tuple[float, float]:
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
     (r00, r01), (r10, r11) = rho.tolist()
-    # Finiteness first, so that inf - inf never reaches the hermiticity test.  On
-    # the diagonal |z - conj(z)| is exactly 2 |Im z|: the real parts cancel to +0
-    # and the doubling is exact.
-    isfinite = cmath.isfinite
+    # One comparison chain; every link is False on NaN, and a non-finite entry
+    # fails one: a diagonal real part by < inf, a diagonal imaginary part by
+    # <= tol, an off-diagonal part through the difference, then inf or NaN (as is
+    # a finite difference that overflows).  On the diagonal the hermiticity
+    # residual |z - conj(z)| is exactly 2 |Im z|.
     if not (
-        isfinite(r00) and isfinite(r01) and isfinite(r10) and isfinite(r11)
-        and max(2.0 * abs(r00.imag), abs(r01 - r10.conjugate()), 2.0 * abs(r11.imag))
-        <= _HERMITICITY_TOL
+        abs(r00.real) < math.inf and abs(r11.real) < math.inf
+        and 2.0 * abs(r00.imag) <= _HERMITICITY_TOL and 2.0 * abs(r11.imag) <= _HERMITICITY_TOL
+        and abs(r01 - r10.conjugate()) <= _HERMITICITY_TOL
     ):
         raise ValueError("density matrix must be finite and Hermitian")
     tr = float((r00 + r11).real)

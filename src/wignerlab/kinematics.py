@@ -37,9 +37,11 @@ ufuncs are numpy's, their results taken as Python floats
 both paths; square roots are ``math.sqrt``, correctly rounded as
 ``np.sqrt`` is; clips are ``min`` and ``max``.  So the two give the same
 bits.  The matrix route has one kernel, ``_matrix_angle``, that takes
-the square root of its path.  The tan form and the matrix route divide
-by a positive denominator and take the one-argument ``np.arctan``: on a
-float it costs a fifth of ``np.arctan2``, which has no scalar fast path.
+the square root of its path and reads the two numbers of the spinor
+product that the angle needs, a0 and |q_y|, in closed form.  The tan
+form and the matrix route divide by a positive denominator and take the
+one-argument ``np.arctan``: on a float it costs a fifth of
+``np.arctan2``, which has no scalar fast path.
 """
 
 from __future__ import annotations
@@ -401,17 +403,6 @@ def boost_matrix(velocity) -> np.ndarray:
     return _boost_4x4(*_spinor_boost(velocity))
 
 
-def _spinor_boost_along(speed, direction, sqrt):
-    """(c, s) of the SL(2,C) boost with |beta| = speed along a unit direction triple.
-
-    sigma = 1/gamma is taken from the speed itself, not from a sum over
-    rounded velocity components, so 1 - |beta|^2 stays accurate as speed -> 1.
-    """
-    c, k = _half_rapidity(sqrt((1.0 - speed) * (1.0 + speed)), sqrt)
-    k = k * speed
-    return c, (k * direction[0], k * direction[1], k * direction[2])
-
-
 def _spinor_product(first, second):
     """(a0, q) of the SL(2,C) product A(second) A(first) = a0 I + (p + i q).sigma.
 
@@ -550,32 +541,36 @@ def wigner_angle_matrix_form(u, v, phi):
 
     Composes the two boosts of ``standard_boost_vectors`` in SL(2,C), as
     ``compose_boosts`` does, and takes only the angle, without forming a
-    4x4 matrix.  Each spinor boost is built from its exact speed and unit
-    direction, (0, 0, 1) for u and (sin phi, 0, cos phi) for v, so no
-    rounded velocity component enters 1 - |beta|^2.  Broadcasts over u,
-    v and phi like the closed forms, and like them returns exactly 0 for
-    u = 0, v = 0, phi = 0 or phi = pi (the float value of pi is treated
-    as exactly collinear).
+    4x4 matrix or a spinor vector (``_matrix_angle``).  Each spinor boost
+    is built from its exact speed and unit direction, (0, 0, 1) for u and
+    (sin phi, 0, cos phi) for v, so no rounded velocity component enters
+    1 - |beta|^2.  Broadcasts over u, v and phi like the closed forms, and
+    like them returns exactly 0 for u = 0, v = 0, phi = 0 or phi = pi (the
+    float value of pi is treated as exactly collinear).
     """
     if (isinstance(u, float) and isinstance(v, float) and isinstance(phi, float)
             and 0.0 <= u < 1.0 and 0.0 <= v < 1.0 and 0.0 <= phi <= math.pi):
         sin_phi, cos_phi = _direction_f(phi)
-        return float(_matrix_angle(u, v, (sin_phi, 0.0, cos_phi), math.sqrt))
-    u, v, direction = _standard_geometry(u, v, phi)
-    return _scalar_or_array(_matrix_angle(u, v, direction, np.sqrt))
+        return float(_matrix_angle(u, v, sin_phi, cos_phi, math.sqrt))
+    u, v, (sin_phi, _, cos_phi) = _standard_geometry(u, v, phi)
+    return _scalar_or_array(_matrix_angle(u, v, sin_phi, cos_phi, np.sqrt))
 
 
-def _matrix_angle(u, v, direction, sqrt):
-    """Unchecked angle of the matrix route, one kernel for both paths (``_half_rapidity``).
+def _matrix_angle(u, v, sin_phi, cos_phi, sqrt):
+    """Unchecked angle of the matrix route, one kernel for both paths; ``sqrt`` fits u and v.
 
-    In the standard geometry q = (0, q_y, 0) exactly, so |q| is |q_y|, which
-    does not underflow as q . q would below about 1e-154.  a0 >= 1, so the
-    angle 2 atan2(|q_y|, a0) is 2 arctan(|q_y|/a0).
+    The ``_spinor_product`` of the boosts c1 I + x1 sigma_z and c2 I +
+    x2 (sin phi sigma_x + cos phi sigma_z), x = k u = sinh(rho/2) of
+    ``_half_rapidity``, has a0 = c1 c2 + x1 x2 cos phi and q = (0, -x1 x2
+    sin phi, 0): formed here by its operations in its order, less terms
+    that are exact zeros.  |q_y| does not underflow as q . q would below
+    about 1e-154, and ``abs`` keeps the angle of a -0.0 speed at +0.
+    a0 >= c1 c2 - x1 x2 >= 1, so 2 atan2(|q_y|, a0) is 2 arctan(|q_y|/a0).
     """
-    a0, q = _spinor_product(
-        _spinor_boost_along(u, (0.0, 0.0, 1.0), sqrt), _spinor_boost_along(v, direction, sqrt)
-    )
-    return 2.0 * np.arctan(abs(q[1]) / a0)
+    c1, k1 = _half_rapidity(sqrt((1.0 - u) * (1.0 + u)), sqrt)
+    c2, k2 = _half_rapidity(sqrt((1.0 - v) * (1.0 + v)), sqrt)
+    x1, x2 = k1 * u, k2 * v
+    return 2.0 * np.arctan(abs(x2 * sin_phi * x1) / (c1 * c2 + x1 * (x2 * cos_phi)))
 
 
 def lorentz_defect(mat: np.ndarray):

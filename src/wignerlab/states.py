@@ -162,9 +162,9 @@ def _state(amps, frame, helicity_class, eta, delta=None) -> SpinMomentumState:
     array: ``amplitudes`` is built, as the constructor would, on first read.
     """
     state = object.__new__(SpinMomentumState)
-    state.__dict__.update(
-        _amps=amps, frame=frame, helicity_class=helicity_class, eta=eta, delta=delta
-    )
+    fields = state.__dict__  # item by item: update(**kwargs) first builds a dict
+    fields["_amps"], fields["frame"], fields["helicity_class"] = amps, frame, helicity_class
+    fields["eta"], fields["delta"] = eta, delta
     return state
 
 

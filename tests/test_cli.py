@@ -545,6 +545,15 @@ class TestVerifyCommand:
         code, _, err = _run(capsys, "verify", "--grid", "8", "--tol", "oops")
         assert code == EXIT_USAGE and "NAME=VALUE" in err
 
+    @pytest.mark.parametrize("value", ["abc", ""])
+    def test_non_numeric_tolerance_names_the_option(self, capsys, value):
+        code, out, err = _run(
+            capsys, "verify", "--grid", "8", "--tol", f"angle_forms_agree={value}"
+        )
+        assert code == EXIT_USAGE and out == ""
+        message = f"--tol angle_forms_agree expects a number, got {value!r}"
+        assert err == f"wignerlab: error: {message}\n"
+
 
 class TestEntryPoint:
     def test_missing_subcommand_exits_one(self):

@@ -451,15 +451,42 @@ class TestNonFiniteInput:
             ent.boosted_entropy_derivative(bad, 1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 1)])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 1), (1, 0)])
     def test_density_matrix_rejects(self, bad, where):
-        rho = np.eye(2, dtype=complex) / 2
-        rho[where] = bad
+        for entry in (complex(bad, 0.0), complex(0.5 * (where[0] == where[1]), bad)):
+            rho = np.eye(2, dtype=complex) / 2
+            rho[where] = entry
+            for call in (ent.density_eigenvalues, ent.von_neumann_entropy):
+                with pytest.raises(ValueError, match="finite and Hermitian"):
+                    call(rho)
+        with pytest.raises(ValueError, match="finite and Hermitian"):
+            ent.von_neumann_entropy(np.full((2, 2), bad))
+
+    @pytest.mark.parametrize("r01, r10", [(1e308, -1e308), (1e308j, 1e308j)])
+    def test_density_matrix_rejects_an_overflowing_difference(self, r01, r10):
+        # finite entries whose hermiticity residual r01 - conj(r10) is inf
+        rho = np.array([[0.5, r01], [r10, 0.5]])
         for call in (ent.density_eigenvalues, ent.von_neumann_entropy):
             with pytest.raises(ValueError, match="finite and Hermitian"):
                 call(rho)
-        with pytest.raises(ValueError, match="finite and Hermitian"):
-            ent.von_neumann_entropy(np.full((2, 2), bad))
+
+    @pytest.mark.parametrize(
+        "rho, larger, smaller, entropy",
+        [
+            (np.array([[0.75, 0.25], [0.25, 0.25]]),
+             "0x1.b504f333f9de6p-1", "0x1.2bec333018866p-3", "0x1.33a6061d1781fp-1"),
+            (np.array([[0.6, -0.2], [-0.2, 0.4]]),
+             "0x1.727c9716ffb77p-1", "0x1.1b06d1d200912p-2", "0x1.b373604acd5aep-1"),
+            (np.array([[1, 0], [0, 0]]), "0x1.0p+0", "0x0.0p+0", "0x0.0p+0"),
+            (np.array([[0, 0], [0, 1]], dtype=np.int8), "0x1.0p+0", "0x0.0p+0", "0x0.0p+0"),
+            (np.array([[True, False], [False, False]]), "0x1.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        ],
+    )
+    def test_real_int_and_bool_density_matrices_accepted(self, rho, larger, smaller, entropy):
+        expected = np.array([float.fromhex(larger), float.fromhex(smaller)]).tobytes()
+        assert ent.density_eigenvalues(rho).tobytes() == expected
+        assert ent.density_eigenvalues(rho.astype(complex)).tobytes() == expected
+        assert ent.von_neumann_entropy(rho).hex() == float.fromhex(entropy).hex()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_binary_entropy_rejects(self, bad):

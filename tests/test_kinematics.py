@@ -7,6 +7,7 @@ angle against the matrix composition, and every route against the
 60-digit mpmath oracle (``tests/oracle.py``) up to u = v = 1 - 1e-12.
 """
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -594,6 +595,66 @@ class TestMatrixRouteRange:
         for phi in np.linspace(0.05, math.pi - 0.05, 60).tolist():
             angle = kin.wigner_angle_matrix_form(u, u, phi)
             assert _relative_error(angle, u, u, phi) < bound, phi
+
+
+def _spinor_product_angle(u, v, sin_phi, cos_phi, sqrt):
+    """The matrix route composed in full: the spinor product of the two boosts, then its angle.
+
+    Boosts along (0, 0, 1) and (sin phi, 0, cos phi), each from its speed
+    (``_half_rapidity`` of sigma = sqrt((1 - u)(1 + u))), their
+    ``_spinor_product``, and 2 arctan(|q_y|/a0).
+    """
+    boosts = []
+    for speed, direction in ((u, (0.0, 0.0, 1.0)), (v, (sin_phi, 0.0, cos_phi))):
+        c, k = kin._half_rapidity(sqrt((1.0 - speed) * (1.0 + speed)), sqrt)
+        k = k * speed
+        boosts.append((c, (k * direction[0], k * direction[1], k * direction[2])))
+    a0, q = kin._spinor_product(*boosts)
+    return 2.0 * np.arctan(abs(q[1]) / a0)
+
+
+MATRIX_EDGE_SPEEDS = (
+    0.0, -0.0, 1e-300, 1e-200, 1e-160, 1e-8, 0.3, 0.5, 0.9, 0.999, 1.0 - 1e-12,
+    math.nextafter(1.0, 0.0),
+)
+MATRIX_EDGE_ANGLES = (0.0, -0.0, 1e-8, 1.0, math.pi / 2, 2.0, math.pi - 1e-8, math.pi)
+
+
+class TestMatrixRouteClosedForm:
+    """The matrix route reads a0 and |q_y| of the spinor product in closed form.
+
+    It must give the bytes of the full composition, signs of zero included,
+    on scalar calls and on whole-array calls.
+    """
+
+    @staticmethod
+    def _reference(u, v, phi):
+        if isinstance(u, float):
+            sin_phi, cos_phi = kin._direction_f(phi)
+            return float(_spinor_product_angle(u, v, sin_phi, cos_phi, math.sqrt))
+        u, v, (sin_phi, _, cos_phi) = kin._standard_geometry(u, v, phi)
+        return _spinor_product_angle(u, v, sin_phi, cos_phi, np.sqrt)
+
+    def _assert_same_bytes(self, u, v, phi):
+        scalar = [kin.wigner_angle_matrix_form(*args) for args in zip(u, v, phi)]
+        assert all(type(x) is float for x in scalar)
+        assert np.array(scalar).tobytes() == np.array(
+            [self._reference(*args) for args in zip(u, v, phi)]
+        ).tobytes()
+        u, v, phi = np.array(u), np.array(v), np.array(phi)
+        whole = kin.wigner_angle_matrix_form(u, v, phi)
+        assert whole.tobytes() == self._reference(u, v, phi).tobytes()
+        assert whole.tobytes() == np.array(scalar).tobytes()
+
+    def test_edge_grid(self):
+        grid = itertools.product(MATRIX_EDGE_SPEEDS, MATRIX_EDGE_SPEEDS, MATRIX_EDGE_ANGLES)
+        self._assert_same_bytes(*map(list, zip(*grid)))
+
+    def test_seeded_draws_up_to_light_speed(self):
+        rng = np.random.default_rng(35)
+        u, v = 1.0 - 10.0 ** rng.uniform(-12.0, 0.0, (2, 10_000))
+        phi = rng.uniform(0.0, math.pi, 10_000)
+        self._assert_same_bytes(u.tolist(), v.tolist(), phi.tolist())
 
 
 def _relative_error(angle, u, v, phi):
