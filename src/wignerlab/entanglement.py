@@ -17,8 +17,11 @@ W = cos^2(delta) for the unequal-helicity family.
 
 The partial trace and the 2x2 eigenvalues are computed on Python complex
 numbers and floats (no BLAS call, no small-array overhead); the results
-are still returned as numpy arrays.  As in ``kinematics``, a scalar entry
-picks a float kernel (``_*_f``, or inline) or an array kernel once per call.
+are still returned as numpy arrays.  As in ``kinematics``, the closed form
+and the derivative, which a workload calls on floats, pick a float kernel
+(``_*_f``, or inline) or an array kernel once per call;
+``binary_entropy`` and ``rest_frame_entropy`` take the array kernel for
+every input.
 ``eta``, ``delta`` and ``p`` pass the library's input rule
 (``kinematics._checked``): real and finite, and computed in float64.
 """
@@ -85,15 +88,19 @@ def _eigenvalue_pair(rho) -> tuple[float, float]:
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
     (r00, r01), (r10, r11) = rho.tolist()
+    try:
+        residual = abs(r01 - r10.conjugate())
+    except OverflowError:  # finite parts whose modulus exceeds the float range
+        residual = math.inf
     # One comparison chain; every link is False on NaN, and a non-finite entry
     # fails one: a diagonal real part by < inf, a diagonal imaginary part by
-    # <= tol, an off-diagonal part through the difference, then inf or NaN (as is
+    # <= tol, an off-diagonal part through the residual, then inf or NaN (as is
     # a finite difference that overflows).  On the diagonal the hermiticity
     # residual |z - conj(z)| is exactly 2 |Im z|.
     if not (
         abs(r00.real) < math.inf and abs(r11.real) < math.inf
         and 2.0 * abs(r00.imag) <= _HERMITICITY_TOL and 2.0 * abs(r11.imag) <= _HERMITICITY_TOL
-        and abs(r01 - r10.conjugate()) <= _HERMITICITY_TOL
+        and residual <= _HERMITICITY_TOL
     ):
         raise ValueError("density matrix must be finite and Hermitian")
     tr = float((r00 + r11).real)
@@ -146,9 +153,6 @@ def binary_entropy(p):
 
     ``p`` is clipped into [0, 1]; non-finite ``p`` raises ValueError.
     """
-    if isinstance(p, float) and abs(p) < math.inf:
-        p = min(max(float(p), 0.0), 1.0)  # float(): an np.float64 result would stay one
-        return _entropy_bits_f(p, 1.0 - p)
     p = np.clip(_checked(p, _P), 0.0, 1.0)
     return _entropy_bits(p, 1.0 - p)
 
@@ -166,12 +170,6 @@ def rest_frame_entropy(eta, helicity_class: HelicityClass):
     unequal-helicity family is a product state, entropy 0 for every eta.
     Non-finite ``eta`` raises ValueError.
     """
-    if isinstance(eta, float) and abs(eta) < math.inf:
-        if helicity_class is _UNEQUAL:
-            return 0.0
-        c = float(np.cos(eta))
-        c2 = c * c
-        return _entropy_bits_f(c2, 1.0 - c2)
     return _rest_frame_entropy(_checked(eta, _ETA), helicity_class)
 
 
@@ -213,7 +211,8 @@ def boosted_entropy_closed_form(eta, delta, helicity_class: HelicityClass):
     """
     if (isinstance(eta, float) and isinstance(delta, float)
             and abs(eta) < math.inf and abs(delta) < math.inf):
-        return _boosted_entropy_f(eta, delta, helicity_class)
+        _, gap = _xi_factor_f(eta, delta, helicity_class)
+        return _entropy_bits_f(0.5 * (1.0 + gap), 0.5 * (1.0 - gap))
     return _boosted_entropy(_checked(eta, _ETA), _checked(delta, _DELTA), helicity_class)
 
 
@@ -221,12 +220,6 @@ def _boosted_entropy(eta, delta, helicity_class: HelicityClass):
     """Unchecked :func:`boosted_entropy_closed_form` of float64-array inputs."""
     _, gap = _xi_factor(eta, delta, helicity_class)
     return _entropy_bits(0.5 * (1.0 + gap), 0.5 * (1.0 - gap))
-
-
-def _boosted_entropy_f(eta, delta, helicity_class: HelicityClass):
-    """Float kernel of :func:`boosted_entropy_closed_form` for finite float arguments."""
-    _, gap = _xi_factor_f(eta, delta, helicity_class)
-    return _entropy_bits_f(0.5 * (1.0 + gap), 0.5 * (1.0 - gap))
 
 
 def boosted_entropy_derivative(eta, delta):

@@ -26,12 +26,16 @@ NaN, infinite or out-of-range values raise ValueError.  Huge finite
 matrix entries are valid: ``rotation_axis`` still returns the unit axis,
 and ``lorentz_defect`` inf where the residual overflows.
 
-A scalar entry point picks its kernel once per call.  When one expression
-finds every argument a float that passes its rule's test, a float kernel
-(inline, or ``_*_f`` where other code calls it too) computes on Python
-floats; anything else goes through the checkers to the array kernel.
-The float kernel takes the array kernel's operations in its order:
-ufuncs are numpy's, their results taken as Python floats
+A function has a float path only where a workload calls it on floats:
+the three angle routes, ``argmax_boost_angle`` and
+``ultra_relativistic_condition`` pick their kernel once per call.  When
+one expression finds every argument a float that passes its rule's test,
+a float kernel (inline, or ``_*_f`` where other code calls it too)
+computes on Python floats; anything else goes through the checkers to
+the array kernel.  ``lorentz_gamma``, ``speed_factor_d`` and
+``standard_boost_vectors`` have no float path: a float takes the checked
+array path.  The float kernel takes the array kernel's operations in its
+order: ufuncs are numpy's, their results taken as Python floats
 (``float(np.sin(x))``), because ``math.atan``, ``asin``, ``acos`` and
 ``log2`` can differ in the last bit; squares are products ``x * x`` on
 both paths; square roots are ``math.sqrt``, correctly rounded as
@@ -153,8 +157,6 @@ def _sigma(u):
 
 def lorentz_gamma(u):
     """Lorentz factor gamma = 1/sqrt(1 - u^2) for a speed u in units of c."""
-    if isinstance(u, float) and 0.0 <= u < 1.0:
-        return 1.0 / math.sqrt((1.0 - u) * (1.0 + u))
     return _scalar_or_array(1.0 / _sigma(_checked(u, _SPEED)))
 
 
@@ -169,8 +171,6 @@ def speed_factor_d(u, v):
     as +inf rather than an error.  D is +inf only there and where the
     true D overflows (u v below about 2.2e-308).
     """
-    if isinstance(u, float) and isinstance(v, float) and 0.0 <= u < 1.0 and 0.0 <= v < 1.0:
-        return _speed_factor_f(u, v)
     return _scalar_or_array(_speed_factor(_checked(u, _U), _checked(v, _V)))
 
 
@@ -246,7 +246,8 @@ def wigner_angle_tan_form(u, v, phi):
     """
     if (isinstance(u, float) and isinstance(v, float) and isinstance(phi, float)
             and 0.0 <= u < 1.0 and 0.0 <= v < 1.0 and 0.0 <= phi <= math.pi):
-        return _tan_form_f(u, v, phi)
+        sin_phi, cos_phi = _direction_f(phi)
+        return 2.0 * float(np.arctan(sin_phi / (cos_phi + _speed_factor_f(u, v))))
     u, v, (sin_phi, _, cos_phi) = _standard_geometry(u, v, phi)
     d = _speed_factor(u, v)
     out = np.add(cos_phi, d, out=_work(cos_phi, d))
@@ -254,12 +255,6 @@ def wigner_angle_tan_form(u, v, phi):
     np.arctan(out, out=out)
     out *= 2.0
     return _scalar_or_array(out)
-
-
-def _tan_form_f(u, v, phi):
-    """Float kernel of :func:`wigner_angle_tan_form` for valid float arguments."""
-    sin_phi, cos_phi = _direction_f(phi)
-    return 2.0 * float(np.arctan(sin_phi / (cos_phi + _speed_factor_f(u, v))))
 
 
 def argmax_boost_angle(u, v):
@@ -292,15 +287,10 @@ def ultra_relativistic_condition(u, v, phi):
     """
     if (isinstance(u, float) and isinstance(v, float) and isinstance(phi, float)
             and 0.0 <= u < 1.0 and 0.0 <= v < 1.0 and 0.0 <= phi <= math.pi):
-        return _ultra_f(u, v, phi)
+        return float(np.sin(phi)) - float(np.cos(phi)) >= _speed_factor_f(u, v)
     phi, u, v = _checked(phi, _PHI), _checked(u, _U), _checked(v, _V)
     cond = np.sin(phi) - np.cos(phi) >= _speed_factor(u, v)
     return cond if isinstance(cond, np.ndarray) else bool(cond)
-
-
-def _ultra_f(u, v, phi):
-    """Float kernel of :func:`ultra_relativistic_condition` for valid float arguments."""
-    return float(np.sin(phi)) - float(np.cos(phi)) >= _speed_factor_f(u, v)
 
 
 def equal_speed_ultra_threshold(phi: float) -> float:
@@ -322,10 +312,10 @@ def equal_speed_ultra_threshold(phi: float) -> float:
     if target > 1.0 and phi != math.pi:
         # the closed form may round to 1 where the float below 1 is the threshold
         u = min(2.0 * math.sqrt(target) / (target + 1.0), math.nextafter(1.0, 0.0))
-        while u < 1.0 and not _ultra_f(u, u, phi):
+        while u < 1.0 and not ultra_relativistic_condition(u, u, phi):
             u = math.nextafter(u, 1.0)
         below = math.nextafter(u, 0.0)
-        while u < 1.0 and _ultra_f(below, below, phi):
+        while u < 1.0 and ultra_relativistic_condition(below, below, phi):
             u, below = below, math.nextafter(below, 0.0)
         if u < 1.0:
             return u
@@ -522,11 +512,7 @@ def standard_boost_vectors(u, v, phi) -> tuple[np.ndarray, np.ndarray]:
     vector stacks carry their common shape.  The float value of pi counts
     as exactly collinear: there the x component is exactly 0.
     """
-    if (isinstance(u, float) and isinstance(v, float) and isinstance(phi, float)
-            and 0.0 <= u < 1.0 and 0.0 <= v < 1.0 and 0.0 <= phi <= math.pi):
-        nx, nz = _direction_f(phi)
-    else:
-        u, v, (nx, _, nz) = _standard_geometry(u, v, phi)
+    u, v, (nx, _, nz) = _standard_geometry(u, v, phi)
     shape = np.broadcast_shapes(np.shape(u), np.shape(v), np.shape(nz))
     u_vec = np.zeros(shape + (3,))
     u_vec[..., 2] = u

@@ -43,15 +43,13 @@ from enum import Enum
 import numpy as np
 
 from ._version import __version__
-from .entanglement import _boosted_entropy_f, boosted_entropy_closed_form
+from .entanglement import boosted_entropy_closed_form
 from .kinematics import (
     _U,
     _V,
     _checked,
     _checked_scalar,
     _is_real_scalar,
-    _tan_form_f,
-    _ultra_f,
     argmax_boost_angle,
     equal_speed_ultra_threshold,
     speed_factor_d,
@@ -513,7 +511,7 @@ def find_local_extrema(series: SweepSeries) -> list[Extremum]:
     produce extrema.  The regime is classified with
     :func:`wignerlab.kinematics.ultra_relativistic_condition`, so the two
     always agree.  Every angle here is a float in [0, pi] and the request
-    is checked, so the float kernels of these functions are called directly.
+    is checked, so the public functions take their float paths.
     """
     req = series.request
     if series.phi.size < 3:
@@ -521,7 +519,7 @@ def find_local_extrema(series: SweepSeries) -> list[Extremum]:
     u, v, eta = float(req.u), float(req.v), float(req.eta)
 
     def etilde(p):
-        return _boosted_entropy_f(eta, _tan_form_f(u, v, p), req.helicity_class)
+        return boosted_entropy_closed_form(eta, wigner_angle_tan_form(u, v, p), req.helicity_class)
 
     candidates = None  # built on demand: argmax_boost_angle raises for u = 0 or v = 0
     found = []
@@ -537,7 +535,7 @@ def find_local_extrema(series: SweepSeries) -> list[Extremum]:
             phi_hat = min(
                 candidates, key=lambda c: (max(a - c, c - b, 0.0), sign * etilde(c))
             )
-        regime = Regime.ULTRA if _ultra_f(u, v, phi_hat) else Regime.MID
+        regime = Regime.ULTRA if ultra_relativistic_condition(u, v, phi_hat) else Regime.MID
         found.append(
             Extremum(
                 phi=phi_hat,

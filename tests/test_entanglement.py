@@ -159,7 +159,8 @@ class TestDensityEigenvalues:
 
     # At the hermiticity tolerance 1e-12: a diagonal z is tested by
     # |z - conj(z)| = 2 |Im z|, so Im z = 0.5e-12 passes and the next float
-    # above it fails; an off-diagonal pair by |r01 - conj(r10)|.
+    # above it fails; an off-diagonal pair by the modulus |r01 - conj(r10)|,
+    # not by its parts: 0.9e-12 (1 + i) is refused (|d| = 1.27e-12).
     _HALF_TOL = 0.5e-12
     _EDGE_CASES = {
         "diagonal-at-tol": ([[complex(0.5, _HALF_TOL), 0.0], [0.0, 0.5]], [0.5, 0.5]),
@@ -170,6 +171,8 @@ class TestDensityEigenvalues:
         "off-diagonal-above-tol": (
             [[0.5, complex(0.25, math.nextafter(1e-12, 1.0))], [0.25, 0.5]], None
         ),
+        "off-diagonal-modulus-below-tol": ([[0.5, 0.7e-12 + 0.7e-12j], [0.0, 0.5]], [0.5, 0.5]),
+        "off-diagonal-modulus-above-tol": ([[0.5, 0.9e-12 + 0.9e-12j], [0.0, 0.5]], None),
     }
 
     @pytest.mark.parametrize(
@@ -462,7 +465,9 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="finite and Hermitian"):
             ent.von_neumann_entropy(np.full((2, 2), bad))
 
-    @pytest.mark.parametrize("r01, r10", [(1e308, -1e308), (1e308j, 1e308j)])
+    @pytest.mark.parametrize(
+        "r01, r10", [(1e308, -1e308), (1e308j, 1e308j), (1.7e308 + 1.7e308j, 0)]
+    )
     def test_density_matrix_rejects_an_overflowing_difference(self, r01, r10):
         # finite entries whose hermiticity residual r01 - conj(r10) is inf
         rho = np.array([[0.5, r01], [r10, 0.5]])

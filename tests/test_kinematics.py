@@ -380,6 +380,14 @@ class TestComposeBoosts:
         boost, rotation, angle = kin.compose_boosts([0, 0, 0.5], [0, 0, 0.7])
         assert angle < 1e-12
         assert np.abs(rotation - np.eye(4)).max() < 1e-12
+        # the standard geometry at the float value of pi, -0.0 and np.float32(pi)
+        # puts v on the z axis: its x component is exactly +0
+        for phi in (math.pi, -0.0, np.float32(math.pi)):
+            u_vec, v_vec = kin.standard_boost_vectors(0.5, 0.7, phi)
+            assert v_vec[0] == 0.0 and not np.signbit(v_vec[0])
+            _, rotation, angle = kin.compose_boosts(u_vec, v_vec)
+            assert angle == 0.0
+            assert np.array_equal(rotation, np.eye(4))
 
     def test_perpendicular_example(self):
         _, rotation, angle = kin.compose_boosts([0, 0, 0.5], [0.5, 0, 0])

@@ -1,7 +1,10 @@
 """Scalar calls against array calls: same bits, same errors, Python types.
 
-A float argument is validated, masked and clipped with plain Python
-operations; any other argument goes through a float64 array.  Both
+Where a function has a float path, a float argument is validated, masked
+and clipped with plain Python operations; any other argument, and every
+argument of ``lorentz_gamma``, ``speed_factor_d``,
+``standard_boost_vectors``, ``binary_entropy`` and ``rest_frame_entropy``
+(which have no float path), goes through a float64 array.  Both
 evaluate the same ufunc expressions, so for every input type a result
 must agree to the bit (compared with ``float.hex``) with the call on a
 whole array of the same values, a rejected input must give the same
@@ -16,9 +19,10 @@ Inputs are seeded values plus an edge grid: speeds at and next to 0 and
 corners of the entropies.  A hypothesis property adds random float
 inputs in each regime (``test_random_floats_agree_to_the_bit``).
 
-Each scalar entry point tests all-float arguments in one expression and
-calls the checkers only when it fails: an all-float call makes no checker
-call, a 0-d array call one per argument, and both give the same result
+Each scalar entry point with a float path (``FAST_CALLS``) tests
+all-float arguments in one expression and calls the checkers only when
+it fails: an all-float call makes no checker call, a 0-d array call one
+per argument, and both give the same result
 (``test_all_float_calls_skip_the_checkers``).  The test picks the kernel
 once per call: an all-float call runs the float kernel and never an array
 kernel, and a 0-d array call runs an array kernel
@@ -262,11 +266,8 @@ FAST_CALLS = {
     "tan": (kin.wigner_angle_tan_form, _EDGE_GEOMETRY),
     "cos": (kin.wigner_angle_cos_form, _EDGE_GEOMETRY),
     "matrix": (kin.wigner_angle_matrix_form, _EDGE_GEOMETRY),
-    "vectors": (kin.standard_boost_vectors, _EDGE_GEOMETRY),
     "ultra": (kin.ultra_relativistic_condition, _EDGE_GEOMETRY),
-    "D": (kin.speed_factor_d, _EDGE_GEOMETRY[:2]),
     "argmax": (kin.argmax_boost_angle, _EDGE_GEOMETRY[:2]),
-    "gamma": (kin.lorentz_gamma, _EDGE_GEOMETRY[:1]),
     **{
         f"closed-{cls.value}": (
             lambda eta, delta, cls=cls: ent.boosted_entropy_closed_form(eta, delta, cls),
@@ -275,8 +276,6 @@ FAST_CALLS = {
         for cls in HelicityClass
     },
     "derivative": (ent.boosted_entropy_derivative, (_EDGE_ETAS, _EDGE_ANGLES)),
-    "rest": (lambda eta: ent.rest_frame_entropy(eta, HelicityClass.EQUAL_PLUS), (_EDGE_ETAS,)),
-    "binary": (ent.binary_entropy, ((-0.0, math.nextafter(1.0, 0.0), 1.5),)),
     "prepare": (lambda eta: prepare_state(HelicityClass.UNEQUAL, eta), (_EDGE_ETAS,)),
     "boost": (lambda delta: boost_state(_REST_STATE, delta), (_EDGE_ANGLES,)),
     "rotation-matrix": (lambda delta: st_mod.wigner_rotation_matrix(delta, -1), (_EDGE_ANGLES,)),

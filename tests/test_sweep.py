@@ -380,6 +380,11 @@ class TestExtrema:
                 checked += 1
                 assert any(ext.phi == c for c in self._candidates(req.u, req.v))
                 assert series.phi[lo - 1] <= ext.phi <= series.phi[lo + 1]
+                delta = kin.wigner_angle_tan_form(req.u, req.v, ext.phi)
+                entropy = boosted_entropy_closed_form(req.eta, delta, req.helicity_class)
+                assert ext.entropy.hex() == entropy.hex()
+                ultra = kin.ultra_relativistic_condition(req.u, req.v, ext.phi)
+                assert ext.regime is (Regime.ULTRA if ultra else Regime.MID)
                 sign = 1.0 if kind is ExtremumKind.MINIMUM else -1.0
                 bracket = series.entropy[lo - 1 : lo + 2]
                 assert (sign * (ext.entropy - bracket)).max() <= 1e-15
