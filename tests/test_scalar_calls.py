@@ -26,7 +26,11 @@ per argument, and both give the same result
 (``test_all_float_calls_skip_the_checkers``).  The test picks the kernel
 once per call: an all-float call runs the float kernel and never an array
 kernel, and a 0-d array call runs an array kernel
-(``test_all_float_calls_skip_the_array_kernels``).  The tan form and the
+(``test_all_float_calls_skip_the_array_kernels``).  The five entry points
+with no float path (``CHECKED_CALLS``) make one checker call per float
+argument and reach an array kernel, as a 0-d array call does
+(``test_float_calls_without_a_float_path_run_the_checkers`` and
+``..._run_the_array_kernels``).  The tan form and the
 matrix route never call ``np.arctan2`` (``test_positive_denominators_skip_arctan2``).
 The rejection table holds
 the floats just outside each rule, so a fast test that is looser than
@@ -280,6 +284,15 @@ FAST_CALLS = {
     "boost": (lambda delta: boost_state(_REST_STATE, delta), (_EDGE_ANGLES,)),
     "rotation-matrix": (lambda delta: st_mod.wigner_rotation_matrix(delta, -1), (_EDGE_ANGLES,)),
 }
+# The scalar entry points with no float path: a float argument takes the
+# checked array path, with the same edge floats.
+CHECKED_CALLS = {
+    "vectors": (kin.standard_boost_vectors, _EDGE_GEOMETRY),
+    "D": (kin.speed_factor_d, _EDGE_GEOMETRY[:2]),
+    "gamma": (kin.lorentz_gamma, _EDGE_GEOMETRY[:1]),
+    "rest": (lambda eta: ent.rest_frame_entropy(eta, HelicityClass.EQUAL_PLUS), (_EDGE_ETAS,)),
+    "binary": (ent.binary_entropy, ((-0.0, math.nextafter(1.0, 0.0), 1.5),)),
+}
 
 
 def _typed_bits(x):
@@ -370,6 +383,51 @@ def test_all_float_calls_skip_the_array_kernels(name, monkeypatch):
         if name not in SCALAR_ONLY:
             with pytest.raises(ArrayKernelReached):
                 call(*map(np.asarray, args))
+
+
+@pytest.mark.parametrize("name", list(CHECKED_CALLS))
+def test_float_calls_without_a_float_path_run_the_checkers(name, monkeypatch):
+    """All floats make one checker call per argument, as 0-d arrays do, with the same result."""
+    call, grids = CHECKED_CALLS[name]
+    checks = _counted_checks(monkeypatch)
+    for args in itertools.product(*grids):
+        checks.clear()
+        try:
+            plain = _typed_bits(call(*args))
+        except ValueError as exc:  # binary entropy above 1
+            plain = str(exc)
+        float_checks = list(checks)
+        assert len(float_checks) == len(args), (args, float_checks)
+        checks.clear()
+        try:
+            checked = _typed_bits(call(*map(np.asarray, args)))
+        except ValueError as exc:
+            checked = str(exc)
+        assert checks == float_checks, args
+        assert plain == checked, args
+
+
+@pytest.mark.parametrize("name", list(CHECKED_CALLS))
+def test_float_calls_without_a_float_path_run_the_array_kernels(name, monkeypatch):
+    """With every array kernel made to raise, all-float calls raise as 0-d array calls do."""
+    call, grids = CHECKED_CALLS[name]
+
+    def refusing(*args):
+        raise ArrayKernelReached
+
+    for module, kernel in ARRAY_KERNELS:
+        monkeypatch.setattr(module, kernel, refusing)
+    for args in itertools.product(*grids):
+        outcomes = []
+        for convert in (float, np.asarray):
+            try:
+                call(*map(convert, args))
+                outcomes.append("returned")
+            except ArrayKernelReached:
+                outcomes.append("kernel")
+            except ValueError as exc:  # binary entropy above 1
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1] != "returned", (args, outcomes)
 
 
 @pytest.mark.parametrize("name", ["tan", "matrix"])
