@@ -34,6 +34,7 @@ import gc
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -68,14 +69,24 @@ def _atomic_write(path: str, chunks) -> None:
     by the chunks' producer after the first chunk, removes the temp file
     and leaves ``path`` as it was.  An ``OSError`` comes out as a
     ValueError that names ``path``, so the CLI reports it in one line.
+    The file gets the mode that ``open(path, "w")`` would leave: that of
+    the file it replaces, else 0o666 less the umask (``mkstemp`` makes
+    the temp file 0o600, and the rename keeps that).
     """
     if not path:  # abspath would turn "" into the working directory itself
         raise ValueError(f"cannot write '': {os.strerror(errno.ENOENT)}")
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)  # the only way to read it; set back at once
+            os.umask(umask)
+            mode = 0o666 & ~umask
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wignerlab-", suffix=".tmp")
         try:
             with open(fd, "wb") as fh:
+                os.fchmod(fh.fileno(), mode)
                 fh.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:

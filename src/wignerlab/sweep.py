@@ -18,11 +18,13 @@ the endpoints of ``ultra_phi_interval``.
 Output formats: CSV with 17-significant-digit decimals and LF line
 endings; JSON as {"metadata": ..., "rows": ...}.  Identical inputs
 produce byte-identical text.  Every CSV field is exactly
-``format(x, ".17g")``: fields with 1e-4 <= |x| < 1e16 come from exact
-integer arithmetic on arrays, and every other value goes through ``%``.
-Each array-formatted field fills a fixed 40-byte slot from lookup tables,
-and one boolean compress keeps its bytes, one run of them for |x| < 1
-and two for larger values (the layout is drawn above ``_CSV_SLOT``).
+``format(x, ".17g")``: fields with 1e-4 <= |x| < 10, the window that
+holds almost every value these tables write, come from exact integer
+arithmetic on arrays, and every other value goes through ``%`` (so a
+column of |x| >= 10 formats several times slower).  Each array-formatted
+field fills a fixed 32-byte slot from lookup tables, and one boolean
+compress keeps its bytes, one run of them per field (the layout is drawn
+above ``_CSV_SLOT``).
 The CSV comes out as byte chunks of ``_CSV_CHUNK_ROWS`` rows
 (``csv_chunks``), which the CLI writes into its temp file one at a time,
 so a sweep never holds its whole text in memory; ``to_csv_text`` joins
@@ -82,31 +84,31 @@ _CSV_CHUNK_ROWS = 4_096
 
 # CSV fields: exact "%.17g" with array arithmetic.
 #
-# For 1e-4 <= |x| < 1e16, "%.17g" writes x in fixed notation from its
+# For 1e-4 <= |x| < 10, "%.17g" writes x in fixed notation from its
 # correctly rounded 17-digit significand D = d0 d1 .. d16 and its decimal
-# exponent E = floor(log10|x|).  Each value gets a slot that holds every
-# character its text can use, at fixed columns, and a keep-mask row picks
-# the characters it does use:
+# exponent E = floor(log10|x|), which is -4..0.  Each value gets a slot that
+# holds every character its text can use, at fixed columns, and a keep-mask
+# row picks the characters it does use:
 #
-#   byte  0-6    prefix, ending at byte 6: the separator before the field
-#                (LF in the first column, "," after), "-", and for E < 0
-#                "0." and -E-1 zeros
-#         7      d0
-#         8-23   d1..d16                    (E < 0: all; E >= 0: up to dE)
-#         24-39  d1..d16 again, with "." over the byte before d(E+1)
-#                (byte 23 + E; E >= 0, kept from there when x has
-#                fraction digits)
+#   byte  0-7    one prefix word that ends in d0: the separator before the
+#                field (LF in the first column, "," after), "-", then for
+#                E < 0 "0." and -E-1 zeros with d0 at byte 7, and for
+#                E = 0 d0 "." at bytes 6-7
+#         8-23   d1..d16
 #
-# So a field's kept bytes are one run for |x| < 1 and two for |x| >= 1: the
-# boolean compress that gathers them pays per run.  The prefix row depends
-# on E, the sign and the separator; the mask row on those and the count of
-# trailing zeros of D.  Both are read from tables.
-_CSV_SLOT = 40
-_CSV_E = range(-5, 17)  # log10 can be one off for in-range values: see _csv_significands
+# So a field's kept bytes are one run, from its separator to its last
+# nonzero digit (for E = 0 the "." goes when d1..d16 are all zero): the
+# boolean compress that gathers them pays per run.  The prefix word depends
+# on d0, E, the sign and the separator; the mask row on the last three and
+# the count of trailing zeros of D.  Both are read from tables.  Every other
+# value, |x| >= 10 included, takes the "%" fallback, which writes its text
+# into the same slot.
+_CSV_SLOT = 32
+_CSV_E = range(-4, 1)
 
 
 def _csv_prefix_index(e, negative, comma):
-    """Row of the prefix table, and of the keep table's block, for exponent, sign and separator."""
+    """Prefix row for exponent, sign and separator: the keep table's block, the word for d0 = 0."""
     return (e - _CSV_E.start) * 4 + comma * 2 + negative
 
 
@@ -118,67 +120,67 @@ def _csv_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     - their trailing zeros, with 16 for 0000, so that the minimum over the
       groups of D of (zeros of the group + 4 * groups after it) counts them
       for all of D;
-    - the slot's bytes 0-7 as one uint64 per prefix row
-      (:func:`_csv_prefix_index`); byte 7 is left for d0;
+    - the slot's bytes 0-7 as one uint64, at d0 * 20 + prefix row
+      (:func:`_csv_prefix_index`);
     - the keep-mask rows of the slot, indexed by prefix row * 17 + trailing
-      zeros.  The rows for E = -5 and 16 serve only values whose exponent
-      estimate is off; those go to the fallback, which replaces them.
+      zeros.
     """
     digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # thousands .. units
     quads = (np.ascontiguousarray(digits.T) + ord("0")).view(np.uint32).ravel()
     trailing = np.logical_and.accumulate(digits[::-1] == 0).sum(axis=0, dtype=np.int8)
     trailing[0] = 16
 
-    # In the order of _csv_prefix_index: E, then the separator, then the sign.
+    # d0, then in the order of _csv_prefix_index: E, the separator, the sign.
     heads = [
-        ("\n,"[comma] + "-" * negative + ("0." + "0" * (-e - 1)) * (e < 0))[-7:]
+        "\n,"[comma] + "-" * negative + ("0." + "0" * (-e - 1) + d0 if e < 0 else d0 + ".")
+        for d0 in "0123456789"
         for e in _CSV_E
         for comma in (0, 1)
         for negative in (0, 1)
-    ]  # [-7:]: E = -5 with "-" would not fit, and is never kept
-    prefixes = np.frombuffer("".join(h.rjust(7) + " " for h in heads).encode(), np.uint64).copy()
-    start = 7 - np.array([len(h) for h in heads])[:, None, None]
+    ]
+    prefixes = np.frombuffer("".join(h.rjust(8) for h in heads).encode(), np.uint64).copy()
+    start = 8 - np.array([len(h) for h in heads[: len(_CSV_E) * 4]])[:, None, None]
     e = np.repeat(_CSV_E, 4)[:, None, None]
     last = 16 - np.arange(17)[:, None]  # index of the last nonzero digit
+    end = 7 + last - ((e == 0) & (last == 0))  # E = 0 drops "." when d1..d16 are 0
     col = np.arange(_CSV_SLOT)
-    integer_end = 7 + np.where(e < 0, last, np.minimum(e, 16))
-    fraction = (e >= 0) & (last > e) & (col >= 23 + e) & (col <= 23 + last)
-    keep = (col >= start) & (col <= integer_end) | fraction
+    keep = (col >= start) & (col <= end)
     tables = quads, trailing, prefixes, keep.reshape(-1, _CSV_SLOT)
     for table in tables:  # shared by every caller
         table.flags.writeable = False
     return tables
 
 
-# 10**k for k = 16 - E in 0..21 is an exact double; Veltkamp's split into two
-# 26-bit halves is what Dekker's two-product needs.
-_POW10 = 10.0 ** np.arange(22)
+# 10**(16 - E) for E = -4..0, indexed by E + 4, is an exact double;
+# Veltkamp's split into two 26-bit halves is what Dekker's two-product needs.
+_POW10 = 10.0 ** np.arange(20, 15, -1)
 _VELTKAMP = 2.0**27 + 1.0
 _POW10_HI = _VELTKAMP * _POW10 - (_VELTKAMP * _POW10 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 
 
 def _csv_significands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(fixed, e, d)``: which values take fixed notation here, and their E and D.
+    """``(fixed, e, d)``: which values take the array path, and their E + 4 and D.
 
-    ``fixed`` is False for the values that ``"%.17g"`` writes otherwise
-    and for those whose exponent estimate is off; their E and D mean
-    nothing.
+    ``fixed`` is True exactly for ``1e-4 <= |x| < 10``; for the other
+    values E and D mean nothing.
     """
     a = np.abs(x)
-    fixed = (a >= 1e-4) & (a < 1e16)  # NaN fails too
+    fixed = (a >= 1e-4) & (a < 10.0)  # NaN fails too
     np.copyto(a, 1.0, where=~fixed)
+    # E + 4 counts the powers 1e-3, 1e-2, 0.1 and 1 at or below |x|.  Each
+    # of those doubles is the least double >= its power of ten, so the count
+    # is exact; floor(log10) is not (it gives -3 for the double below 1e-3).
+    e = np.add(a >= 1e-3, a >= 1e-2, dtype=np.int64)
+    e += a >= 0.1
+    e += a >= 1.0
     # Dekker's two-product splits |x| * 10**(16 - E) exactly into p + err.
-    # For the right E, p >= 1e16 > 2**53 is an even integer, so rounding
-    # p + err half to even (as CPython's dtoa does) is p + rint(err).  A D
-    # outside [1e16, 1e17) means log10 gave the wrong E, or D rounded up to
-    # 1e17; such values go to the fallback.  An overestimated E always gives
-    # D <= 1e16 - 1: the largest double below each power of ten lies more
-    # than half a unit of the 17th digit below it.
-    e = np.floor(np.log10(a)).astype(np.int64)
-    k = 16 - e
-    scale_hi, scale_lo = _POW10_HI[k], _POW10_LO[k]
-    p = _POW10[k]
+    # p >= 1e16 > 2**53 is an even integer, so rounding p + err half to even
+    # (as CPython's dtoa does) is p + rint(err).  D < 1e17: the largest
+    # double below each power of ten lies more than half a unit of the 17th
+    # digit below it, so no D rounds up to 1e17.
+    scale_hi, scale_lo = _POW10_HI[e], _POW10_LO[e]
+    p = _POW10[e]
     p *= a
     a_hi = _VELTKAMP * a  # Veltkamp: a_hi = split - (split - a), a_lo = a - a_hi
     a_lo = a_hi - a
@@ -193,7 +195,6 @@ def _csv_significands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     err += np.multiply(a_lo, scale_lo, out=a_lo)
     d = p.astype(np.int64)
     d += np.rint(err, out=err).astype(np.int64)
-    fixed &= (d >= 10**16) & (d < 10**17)
     return fixed, e, d
 
 
@@ -201,9 +202,8 @@ def _csv_fields(block: np.ndarray, separators: np.ndarray, tables: tuple) -> np.
     """ASCII bytes of the ``%.17g`` fields of a block of rows, each after its separator.
 
     ``separators`` holds, per value of a full block in row order, the
-    prefix row of its column at E = 0 and a positive sign,
-    ``_csv_prefix_index(0, 0, comma)``: the separator alone.  ``tables``
-    is :func:`_csv_tables`.
+    prefix row of its column at E = -4 and a positive sign,
+    ``_csv_prefix_index(-4, 0, comma)``.  ``tables`` is :func:`_csv_tables`.
     """
     quads, quad_trailing_zeros, prefixes, keep_rows = tables
     x = block.ravel()
@@ -212,10 +212,9 @@ def _csv_fields(block: np.ndarray, separators: np.ndarray, tables: tuple) -> np.
     slots = np.empty((x.size, _CSV_SLOT), np.uint8)
     words = slots.view(np.uint32)
     separators = separators[: x.size]
-    row = e * 4  # _csv_prefix_index(e, negative, comma), summed in place
+    row = e * 4  # _csv_prefix_index(E, negative, comma), summed in place
     row += separators
     row += np.signbit(x)
-    slots.view(np.uint64)[:, 0] = prefixes[row]
     for col in (5, 4, 3, 2):  # d13..d16, d9..d12, d5..d8, d1..d4
         q = d // 10_000
         r = d - q * 10_000
@@ -225,17 +224,15 @@ def _csv_fields(block: np.ndarray, separators: np.ndarray, tables: tuple) -> np.
             zeros = np.flatnonzero(r == 0)
             rest = q[zeros]  # d0..d12
         d = q
-    np.add(d, ord("0"), out=slots[:, 7], casting="unsafe")  # d0
+    d *= len(_CSV_E) * 4  # d is d0 now
+    d += row
+    slots.view(np.uint64)[:, 0] = prefixes[d]
     if zeros.size:
         count = np.full(zeros.size, 16)
         for shift in (4, 8, 12):
             count = np.minimum(count, shift + quad_trailing_zeros[rest % 10_000])
             rest = rest // 10_000
         trailing[zeros] = count
-    # d1..d16 again, as one 16-byte item per slot, then "." before d(E+1).
-    # E < 0 puts the "." at bytes 34-38, which such fields never keep.
-    slots[:, 24:].view("V16")[...] = slots[:, 8:24].view("V16")
-    slots.reshape(-1)[np.bitwise_and(e, 15) + np.arange(23, slots.size, _CSV_SLOT)] = ord(".")
     row *= 17
     row += trailing
     keep = keep_rows.take(row, axis=0)
@@ -244,14 +241,15 @@ def _csv_fields(block: np.ndarray, separators: np.ndarray, tables: tuple) -> np.
         fallback = np.flatnonzero(~fixed)
         # "%.17g" of a double takes at most 24 characters, as in
         # -2.2250738585072014e-308; each field is padded to 24 with spaces
-        # and goes to bytes 7-30 of its slot, after its bare separator.
+        # and goes to bytes 2-25 of its slot, after its separator at byte 1
+        # (the prefix word of E = -4, a positive sign and d0 = 0).
         text = ("%-24.17g" * fallback.size) % tuple(x[fallback].tolist())
         chars = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 24)
         slots.view(np.uint64)[fallback, 0] = prefixes[separators[fallback]]
-        slots[fallback, 7:31] = chars
+        slots[fallback, 2:26] = chars
         keep[fallback] = False
-        keep[fallback, 6] = True
-        keep[fallback, 7:31] = chars != ord(" ")
+        keep[fallback, 1] = True
+        keep[fallback, 2:26] = chars != ord(" ")
     return slots[keep]
 
 
@@ -259,16 +257,15 @@ def _csv_chunks(header: tuple, columns):
     """CSV as ASCII byte chunks: the header line, one ``%.17g`` field per value, LF-terminated.
 
     ``columns`` holds one 1-d array per header name.  Every field is
-    exactly ``format(x, ".17g")``.  Values with ``1e-4 <= |x| < 1e16``
-    (fixed notation) are formatted with exact integer arithmetic on
-    arrays; every other value (0, -0.0, subnormals, smaller or larger
-    magnitudes, inf, NaN) and the rare value whose exponent estimate is
-    off go through ``%``.  Rows are stacked and formatted
+    exactly ``format(x, ".17g")``.  Values with ``1e-4 <= |x| < 10`` are
+    formatted with exact integer arithmetic on arrays; every other value
+    (0, -0.0, subnormals, smaller magnitudes, ``|x| >= 10``, inf, NaN)
+    goes through ``%``.  Rows are stacked and formatted
     ``_CSV_CHUNK_ROWS`` at a time, one chunk each, so a writer that takes
     the chunks as they come never holds the whole text.  The columns are
     a table's, checked at its construction by :func:`_table_columns`.
     """
-    columns_separator = _csv_prefix_index(0, 0, np.arange(len(header)) > 0)
+    columns_separator = _csv_prefix_index(_CSV_E.start, 0, np.arange(len(header)) > 0)
     separators = np.tile(columns_separator, _CSV_CHUNK_ROWS)
     tables = _csv_tables()
     yield ",".join(header).encode()

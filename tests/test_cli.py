@@ -439,6 +439,42 @@ class TestWriteErrors:
         assert _tree(tmp_path) == before
 
 
+@pytest.fixture
+def umask_022():
+    """The process umask set to 0o022 for one test, then set back."""
+    old = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+class TestOutputFileMode:
+    """An --out file gets the mode ``open(path, "w")`` would leave, not mkstemp's 0o600."""
+
+    COMMANDS = TestWriteErrors.COMMANDS
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_new_file_mode_follows_the_umask(self, capsys, tmp_path, umask_022, command):
+        out = tmp_path / "new.out"
+        assert _run(capsys, *self.COMMANDS[command], "--out", str(out))[0] == EXIT_OK
+        with open(tmp_path / "plain.out", "w"):
+            pass
+        assert oct(out.stat().st_mode & 0o7777) == oct(0o644)
+        assert (tmp_path / "plain.out").stat().st_mode == out.stat().st_mode
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o664], ids=oct)
+    def test_replaced_file_keeps_its_mode(self, capsys, tmp_path, umask_022, command, mode):
+        out = tmp_path / "old.out"
+        out.write_bytes(b"old bytes\n")
+        out.chmod(mode)
+        assert _run(capsys, *self.COMMANDS[command], "--out", str(out))[0] == EXIT_OK
+        assert out.read_bytes() != b"old bytes\n"
+        assert oct(out.stat().st_mode & 0o7777) == oct(mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["old.out"]
+
+
 # Floats for every numeric option: NaN, +-inf, +-0, subnormals and huge
 # values, plus draws from the valid ranges so that some calls succeed.
 _ANY_FLOAT = st.one_of(

@@ -23,6 +23,7 @@ from wignerlab.sweep import (
     find_local_extrema,
     sweep_entanglement,
     threshold_speed_region,
+    _csv_significands,
     _interior_extremum_runs,
 )
 
@@ -657,8 +658,9 @@ class TestSerialization:
     def test_every_exponent_and_trailing_zero_count_matches_format(self):
         # Each exponent of fixed notation (-4..15), each count of trailing
         # zeros of the 17-digit significand (0..16), both signs, in the first
-        # and in a later column: every row of the formatter's prefix and keep
-        # tables, not only those that random values reach.
+        # and in a later column.  Exponents -4..0 reach every row of the
+        # array path's prefix and keep tables, not only those that random
+        # values reach; exponents 1..15 exercise the "%" fallback.
         rng = np.random.default_rng(25)
         values = np.array(
             [_fixed_notation_value(e, zeros, rng) for e in range(-4, 16) for zeros in range(17)]
@@ -666,6 +668,49 @@ class TestSerialization:
         column = np.concatenate([values, -values])
         rows = np.column_stack([column, column[::-1]])
         _assert_same_text(_strict_csv_text(("a", "b"), rows), _csv_reference(("a", "b"), rows))
+
+    def test_array_path_window_is_exactly_fixed_notation_below_ten(self):
+        # The array path takes 1e-4 <= |x| < 10 (exponents -4..0) and nothing
+        # else: each power of ten from 1e-4 to 10 with both neighbours, random
+        # values in every decade of the double range, zeros, subnormals,
+        # values of 10 and above, and non-finite values, with both signs.
+        rng = np.random.default_rng(37)
+        powers = np.array([float(f"1e{k}") for k in range(-4, 2)])
+        decades = np.arange(-324, 308)
+        values = np.concatenate(
+            [
+                np.nextafter(powers, 0.0),
+                powers,
+                np.nextafter(powers, np.inf),
+                10.0 ** (decades[:, None] + rng.uniform(0.0, 1.0, (decades.size, 8))).ravel(),
+                [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 10.0, 1e16],
+                [1e300, np.finfo(np.float64).max, math.inf, math.nan],
+            ]
+        )
+        column = np.concatenate([values, -values])
+        fixed, _, _ = _csv_significands(column)
+        a = np.abs(column)
+        window = (a >= 1e-4) & (a < 10.0)
+        assert window.sum() == 2 * (15 + 5 * 8)  # powers and neighbours, 5 decades of draws
+        np.testing.assert_array_equal(fixed, window)
+        rows = column[:, None]
+        _assert_same_text(_strict_csv_text(("x",), rows), _csv_reference(("x",), rows))
+
+    @pytest.mark.parametrize(
+        "speed, cls, samples",
+        [
+            *((u, cls, 20_001) for u in (0.99, 0.995, 0.999) for cls in HelicityClass),
+            (0.995, HelicityClass.EQUAL_PLUS, 200_001),
+        ],
+    )
+    def test_sweep_columns_match_per_row_reference(self, speed, cls, samples):
+        # The values a sweep writes, not random bit patterns: the grid, the
+        # rotation angle and the entropy, ultra-relativistic speeds included.
+        series = sweep_entanglement(_request(u=speed, cls=cls, samples=samples))
+        expected = _csv_reference(
+            ("phi", "delta", "entropy_bits"), zip(series.phi, series.delta, series.entropy)
+        )
+        _assert_same_text(series.to_csv_text(), expected)
 
     def test_tie_rounds_half_to_even(self):
         tie = 1.0 + 2.0**-17  # exactly 1.00000762939453125
